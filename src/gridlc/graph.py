@@ -11,6 +11,7 @@ Graphs are frozen after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,8 +24,10 @@ DEFAULT_EDGE_CAP = 4096
 _PRODUCT_VERTEX_CAP = 2**31
 
 
-def _adjacency_masks(vertex_count: int, edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    incident = [0] * vertex_count
+def _adjacency_masks(edges: list[tuple[int, int]]) -> tuple[int, ...]:
+    # Keyed by the endpoints that occur, so memory follows the edge count
+    # however large the declared vertex count is.
+    incident: defaultdict[int, int] = defaultdict(int)
     for index, (u, v) in enumerate(edges):
         bit = 1 << index
         incident[u] |= bit
@@ -81,7 +84,7 @@ class Graph:
             raise CapacityError(
                 f"{len(normalized)} edges exceed the construction cap of {edge_cap}"
             )
-        return Graph(vertex_count, tuple(normalized), _adjacency_masks(vertex_count, normalized))
+        return Graph(vertex_count, tuple(normalized), _adjacency_masks(normalized))
 
     @property
     def edge_count(self) -> int:

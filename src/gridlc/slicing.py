@@ -248,22 +248,18 @@ def slicing_from_dict(data: Mapping) -> Slicing:
     """Rebuild a slicing claim from its JSON form.
 
     Only well-formedness is enforced here (fields present, known
-    orientation, indices in range); whether the claim certifies anything
-    is for :func:`verify_slicing` to decide.
+    orientation, each side a list of integer indices in range); whether
+    the claim certifies anything is for :func:`verify_slicing` to decide.
     """
     try:
         spec = GridSpec(int(data["spec"]["cols"]), int(data["spec"]["rows"]))
         orientation = Orientation(data["orientation"])
-        a_indices = data["A"]
-        b_indices = data["B"]
-        r_indices = data["R"]
+        sides = [data[name] for name in ("A", "B", "R")]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed slicing document: {exc!r}") from exc
+    for name, side in zip("ABR", sides):
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0
+        if not isinstance(side, list) or any(type(index) is not int for index in side):
+            raise ValueError(f"malformed slicing document: {name} must be a list of integers")
     g = grid(spec)
-    return Slicing(
-        spec,
-        orientation,
-        EdgeSet.from_indices(g, a_indices),
-        EdgeSet.from_indices(g, b_indices),
-        EdgeSet.from_indices(g, r_indices),
-    )
+    return Slicing(spec, orientation, *(EdgeSet.from_indices(g, side) for side in sides))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, CapacityError
 from .graph import Graph
@@ -134,65 +134,56 @@ class LcResult:
             raise ValueError("witness must certify incompleteness at r - 1")
 
 
-class _PairBudget:
-    """Tracks subset pairs decided, charged one outer-subset row at a time."""
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError("pair budget must be positive")
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, amount: int) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise BudgetExceededError(f"subset-pair budget of {self.limit} exhausted")
-
-
-def _scan_level(graph: Graph, r: int, budget: _PairBudget) -> tuple[int, int] | None:
-    """First non-adjacent pair of r-subsets as (s_bits, t_bits), or None.
-
-    Subsets are enumerated in lexicographic order.  Each outer subset S is
-    decided in one step: a partner exists iff some r-subset other than S
-    fits inside the complement of S's adjacency cover, which is a binomial
-    count over the complement's size.  Only the row holding the first hit
-    is then scanned pair by pair, so the returned pair is the overall
-    lexicographically first.  The budget is charged with the full pair
-    count of every row entered, whether or not the shortcut decided it.
-    """
-    edge_count = graph.edge_count
-    adjacency = graph.edge_adjacency
-    full = (1 << edge_count) - 1
-    combos = list(itertools.combinations(range(edge_count), r))
-    bits_list: list[int] = []
-    cover_list: list[int] = []
-    for combo in combos:
+def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every r-subset of edges in lexicographic order as (indices, bits, cover)."""
+    adjacency = g.edge_adjacency
+    for indices in itertools.combinations(range(g.edge_count), r):
         bits = 0
         cover = 0
-        for e in combo:
+        for e in indices:
             bits |= 1 << e
             cover |= adjacency[e]
-        bits_list.append(bits)
-        cover_list.append(cover)
-    subsets_of_size = [math.comb(k, r) for k in range(edge_count + 1)]
-    total = len(combos)
-    for i in range(total):
-        budget.charge(total - i - 1)
-        cover = cover_list[i]
-        bits = bits_list[i]
+        yield indices, bits, cover
+
+
+def _scan_level(
+    graph: Graph, r: int, used: int, limit: int
+) -> tuple[tuple[int, int] | None, int]:
+    """First non-adjacent pair of r-subsets as (s_bits, t_bits), and the budget used.
+
+    The pair is ``None`` when the level is complete.  Subsets stream in
+    lexicographic order, so memory stays O(E), and the scan stops at the
+    first subset S that has a partner.  Each S is decided in one step: a
+    partner exists iff some r-subset other than S fits inside the
+    complement of S's adjacency cover, which is a binomial count over the
+    complement's size.  The partner is then built, not searched for.  The
+    budget counts subset pairs: ``used`` is what earlier levels spent, and
+    every outer subset entered is charged its full pair count C(E, r) - i - 1,
+    whether or not the shortcut decided it.
+    """
+    if limit < 1:
+        raise ValueError("pair budget must be positive")
+    full = graph.full_edge_mask()
+    subsets_of_size = [math.comb(k, r) for k in range(graph.edge_count + 1)]
+    total = subsets_of_size[-1]
+    for i, (indices, bits, cover) in enumerate(_subsets(graph, r)):
+        used += total - i - 1
+        if used > limit:
+            raise BudgetExceededError(f"subset-pair budget of {limit} exhausted")
         avail = full & ~cover
         partners = subsets_of_size[avail.bit_count()]
         if bits & cover == 0:
             partners -= 1  # S itself sits inside its own complement
         if partners <= 0:
             continue
-        # The first subset with any partner has all partners after it: a
-        # partner before it would itself have had a partner earlier.
-        for j in range(i + 1, total):
-            if not (cover & bits_list[j]):
-                return bits, bits_list[j]
-        raise AssertionError("positive partner count but no later partner found")
-    return None
+        # S is the first subset with any partner, so all its partners come
+        # after it: a partner before it would itself have been an earlier
+        # hit.  The first r-subset of the complement is therefore S or S's
+        # first partner, and at most two candidates are looked at.
+        free = EdgeSet(graph, avail).indices()
+        partner = next(t for t in itertools.combinations(free, r) if t != indices)
+        return (bits, EdgeSet.from_indices(graph, partner).bits), used
+    return None, used
 
 
 def find_nonadjacent_pair(
@@ -206,7 +197,7 @@ def find_nonadjacent_pair(
     """
     if not 1 <= r <= g.edge_count:
         raise ValueError(f"subset size {r} out of range 1..{g.edge_count}")
-    hit = _scan_level(g, r, _PairBudget(pair_budget))
+    hit, _ = _scan_level(g, r, 0, pair_budget)
     if hit is None:
         return None
     return WitnessPair(EdgeSet(g, hit[0]), EdgeSet(g, hit[1]), r)
@@ -228,11 +219,11 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
     """
     if g.edge_count == 0:
         return LcResult(0, "brute-force", None)
-    budget = _PairBudget(pair_budget)
+    used = 0
     previous_hit: tuple[int, int] | None = None
     for r in range(1, g.edge_count + 1):
         try:
-            hit = _scan_level(g, r, budget)
+            hit, used = _scan_level(g, r, used, pair_budget)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 f"subset-pair budget of {pair_budget} exhausted while deciding r = {r}",
@@ -247,20 +238,6 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
             return LcResult(r, "brute-force", witness)
         previous_hit = hit
     raise AssertionError("the level with a single subset is always complete")
-
-
-def max_nonadjacent_r(
-    g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> tuple[int, WitnessPair] | None:
-    """Largest subset size that still admits a witness pair, with one pair.
-
-    Returns ``None`` when no size does (then lc <= 1).  Otherwise the size
-    is exactly ``lc_bruteforce(g).r - 1``.
-    """
-    result = lc_bruteforce(g, pair_budget=pair_budget)
-    if result.witness_at_r_minus_1 is None:
-        return None
-    return result.r - 1, result.witness_at_r_minus_1
 
 
 def super_line_graph(
@@ -283,22 +260,10 @@ def super_line_graph(
             f"C({g.edge_count}, {r}) = {subset_count} subset vertices "
             f"exceed the cap of {vertex_cap}"
         )
-    combos = list(itertools.combinations(range(g.edge_count), r))
-    adjacency = g.edge_adjacency
-    bits_list: list[int] = []
-    cover_list: list[int] = []
-    for combo in combos:
-        bits = 0
-        cover = 0
-        for e in combo:
-            bits |= 1 << e
-            cover |= adjacency[e]
-        bits_list.append(bits)
-        cover_list.append(cover)
+    labels, bitmasks, covers = zip(*_subsets(g, r))
     pairs: list[tuple[int, int]] = []
-    for i in range(subset_count):
-        cover = cover_list[i]
+    for i, cover in enumerate(covers):
         for j in range(i + 1, subset_count):
-            if cover & bits_list[j]:
+            if cover & bitmasks[j]:
                 pairs.append((i, j))
-    return Graph.from_edges(subset_count, pairs, edge_cap=None), tuple(combos)
+    return Graph.from_edges(subset_count, pairs, edge_cap=None), labels

@@ -49,6 +49,16 @@ def lc_naive(graph: Graph) -> int:
     raise AssertionError("unreachable: a single subset is vacuously complete")
 
 
+def grids_with_at_most(max_edges: int) -> list[tuple[int, int]]:
+    """Every (cols, rows) whose grid graph has at most ``max_edges`` edges."""
+    return [
+        (cols, rows)
+        for cols in range(1, max_edges + 2)
+        for rows in range(1, max_edges + 2)
+        if 2 * cols * rows - cols - rows <= max_edges
+    ]
+
+
 def random_simple_graphs(count: int, *, max_edges: int = 10, seed: int = 20240611):
     """Deterministic corpus of small simple graphs."""
     rng = random.Random(seed)

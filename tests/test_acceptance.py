@@ -31,7 +31,12 @@ from gridlc import (
     super_line_graph,
     verify_slicing,
 )
-from support import is_complete_naive, random_simple_graphs, subsets_adjacent_naive
+from support import (
+    grids_with_at_most,
+    is_complete_naive,
+    random_simple_graphs,
+    subsets_adjacent_naive,
+)
 
 # The one known disagreement between the closed form and the oracle (README,
 # "Known defect in the closed form"): (cols, rows) -> (formula, oracle).
@@ -70,16 +75,6 @@ def test_criterion_3_line_graph_golden(diamond):
     ok = lg.vertex_count == 5 and lg.edge_count == 8
     report(3, "line graph of the diamond has 5 vertices and 8 edges", ok,
            f"{lg.vertex_count} vertices, {lg.edge_count} edges")
-
-
-def grids_with_at_most(max_edges: int) -> list[tuple[int, int]]:
-    """Every (cols, rows) whose grid graph has at most ``max_edges`` edges."""
-    return [
-        (cols, rows)
-        for cols in range(1, max_edges + 2)
-        for rows in range(1, max_edges + 2)
-        if 2 * cols * rows - cols - rows <= max_edges
-    ]
 
 
 def test_criterion_4_oracle_matches_formula_on_small_grids():

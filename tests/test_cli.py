@@ -77,6 +77,13 @@ class TestLcBrute:
         code, _, err = run(capsys, "lc-brute", "--input", "/nonexistent/file.edges")
         assert code == 2
 
+    def test_huge_vertex_count_without_edges(self, capsys, tmp_path):
+        source = tmp_path / "huge.edges"
+        source.write_text("p 1000000000000000 0\n")
+        code, out, _ = run(capsys, "lc-brute", "--input", str(source))
+        assert code == 0
+        assert "lc = 0 (brute-force)" in out
+
 
 class TestSuperline:
     def test_writes_edge_list_and_labels(self, capsys, tmp_path):
@@ -153,6 +160,20 @@ class TestSliceAndVerify:
         document.write_text("{not json")
         code, _, err = run(capsys, "verify", "--slicing", str(document))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "side", ["ab", [1.5], [True], {"0": 1}], ids=["str", "float", "bool", "dict"]
+    )
+    def test_verify_mistyped_side_exit_2(self, capsys, tmp_path, side):
+        code, out, _ = run(capsys, "slice", "--cols", "3", "--rows", "2")
+        data = json.loads(out)
+        data["A"] = side
+        document = tmp_path / "mistyped.json"
+        document.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--slicing", str(document))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_slice_infeasible_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "slice", "--cols", "1", "--rows", "5", "--axis", "vertical")

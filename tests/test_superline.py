@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from gridlc import (
     is_complete_index,
     lc_bruteforce,
     line_graph,
-    max_nonadjacent_r,
     path,
     sets_adjacent,
     super_line_graph,
@@ -22,6 +22,7 @@ from gridlc import (
 from support import (
     find_pair_naive,
     graphs,
+    grids_with_at_most,
     lc_naive,
     random_simple_graphs,
     subsets_adjacent_naive,
@@ -154,6 +155,35 @@ class TestFindNonadjacentPair:
         else:
             assert (actual.S.indices(), actual.T.indices()) == expected
 
+    def test_complete_level_is_not_materialised(self):
+        # 3x4 at r = 8 is complete, so every one of its C(17, 8) = 24,310
+        # subsets is visited; holding them all would take megabytes.
+        g = grid(GridSpec(3, 4))
+        tracemalloc.start()
+        try:
+            assert find_nonadjacent_pair(g, 8) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "cols, rows, r",
+        [
+            (cols, rows, r)
+            for cols, rows in grids_with_at_most(10)
+            for r in range(1, 2 * cols * rows - cols - rows + 1)
+        ],
+    )
+    def test_matches_naive_at_every_level_of_small_grids(self, cols, rows, r):
+        g = grid(GridSpec(cols, rows))
+        expected = find_pair_naive(g, r)
+        actual = find_nonadjacent_pair(g, r)
+        if expected is None:
+            assert actual is None
+        else:
+            assert (actual.S.indices(), actual.T.indices()) == expected
+
 
 class TestIsCompleteIndex:
     def test_path5_at_two(self):
@@ -225,28 +255,30 @@ class TestLcBruteforce:
 
 
 class TestMaxNonadjacentR:
+    """The largest subset size with a witness pair is lc - 1; ``lc_bruteforce``
+    reports it as the size of ``witness_at_r_minus_1``."""
+
     def test_path9(self):
-        r_max, witness = max_nonadjacent_r(path(9))
-        assert r_max == 3
+        witness = lc_bruteforce(path(9)).witness_at_r_minus_1
+        assert witness.r == 3
         assert witness.S.indices() == (0, 1, 2)
         assert not subsets_adjacent_naive(path(9), witness.S.indices(), witness.T.indices())
 
     def test_path5(self):
-        r_max, _ = max_nonadjacent_r(path(5))
-        assert r_max == 1
+        assert lc_bruteforce(path(5)).witness_at_r_minus_1.r == 1
 
     def test_single_edge_has_none(self):
-        assert max_nonadjacent_r(path(2)) is None
+        assert lc_bruteforce(path(2)).witness_at_r_minus_1 is None
 
     @pytest.mark.parametrize("k", range(3, 10))
     def test_consistent_with_lc(self, k):
         g = path(k)
         result = lc_bruteforce(g)
-        found = max_nonadjacent_r(g)
+        assert find_nonadjacent_pair(g, result.r) is None
         if result.r <= 1:
-            assert found is None
+            assert result.witness_at_r_minus_1 is None
         else:
-            assert found[0] == result.r - 1
+            assert find_nonadjacent_pair(g, result.r - 1) == result.witness_at_r_minus_1
 
 
 class TestInvariants:
