@@ -1,18 +1,18 @@
 """Immutable simple undirected graphs with indexed edge lists.
 
 Vertices are the integers ``0 .. vertex_count - 1``.  Edges are ``(u, v)``
-pairs with ``u < v`` and are identified by their position in the edge list.
-Alongside the edge list, every graph carries one bitmask per edge marking
-the edge indices that share an endpoint with it; all of the subset
-machinery in this package runs on those masks.
-
-Graphs are frozen after construction and safe to share between threads.
+pairs with ``u < v`` and are identified by their position in the edge list;
+the two make up the whole value of a graph.  The subset machinery runs on
+one bitmask per edge marking the edges that share an endpoint with it,
+built on first use.  Graphs are frozen and safe to share between threads;
+threads that first read the masks at the same moment compute the same tuple.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import CapacityError
@@ -22,9 +22,11 @@ from .errors import CapacityError
 DEFAULT_EDGE_CAP = 4096
 
 _PRODUCT_VERTEX_CAP = 2**31
+# Admits a 181x181 grid; verify_slicing's endpoint loop is quadratic in E.
+_PRODUCT_EDGE_CAP = 2**16
 
 
-def _adjacency_masks(edges: list[tuple[int, int]]) -> tuple[int, ...]:
+def _adjacency_masks(edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     # Keyed by the endpoints that occur, so memory follows the edge count
     # however large the declared vertex count is.
     incident: defaultdict[int, int] = defaultdict(int)
@@ -42,13 +44,17 @@ def _adjacency_masks(edges: list[tuple[int, int]]) -> tuple[int, ...]:
 class Graph:
     """A simple undirected graph with an indexed edge list.
 
-    ``edge_adjacency[i]`` is a bitmask over edge indices: bit ``j`` is set
-    exactly when ``i != j`` and edges ``i`` and ``j`` share an endpoint.
+    ``edge_adjacency[i]`` is a bitmask over edge indices, built on first use:
+    bit ``j`` is set exactly when ``i != j`` and edges ``i`` and ``j`` share
+    an endpoint.  Equality, hashing and ``repr`` use the two fields alone.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    edge_adjacency: tuple[int, ...]
+
+    @cached_property
+    def edge_adjacency(self) -> tuple[int, ...]:
+        return _adjacency_masks(self.edges)
 
     @staticmethod
     def from_edges(
@@ -84,7 +90,7 @@ class Graph:
             raise CapacityError(
                 f"{len(normalized)} edges exceed the construction cap of {edge_cap}"
             )
-        return Graph(vertex_count, tuple(normalized), _adjacency_masks(normalized))
+        return Graph(vertex_count, tuple(normalized))
 
     @property
     def edge_count(self) -> int:
@@ -165,6 +171,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             f"product has {g.vertex_count} * {h.vertex_count} vertices, "
             f"beyond the cap of {_PRODUCT_VERTEX_CAP}"
         )
+    edge_count = g.vertex_count * h.edge_count + g.edge_count * h.vertex_count
+    if edge_count > _PRODUCT_EDGE_CAP:
+        raise CapacityError(
+            f"product has {edge_count} edges, beyond the cap of {_PRODUCT_EDGE_CAP}"
+        )
     hn = h.vertex_count
     edges: list[tuple[int, int]] = []
     for a in range(g.vertex_count):
@@ -195,13 +206,8 @@ def edges_adjacent(g: Graph, i: int, j: int) -> bool:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertex ``k`` is edge ``k`` of ``g``, joined when adjacent."""
-    pairs: list[tuple[int, int]] = []
-    for i, mask in enumerate(g.edge_adjacency):
-        higher = mask >> (i + 1)
-        j = i + 1
-        while higher:
-            if higher & 1:
-                pairs.append((i, j))
-            higher >>= 1
-            j += 1
+    pairs = [
+        (i, j) for i, mask in enumerate(g.edge_adjacency)
+        for j in range(i + 1, g.edge_count) if mask >> j & 1
+    ]
     return Graph.from_edges(g.edge_count, pairs, edge_cap=None)

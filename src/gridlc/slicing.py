@@ -252,13 +252,17 @@ def slicing_from_dict(data: Mapping) -> Slicing:
     the claim certifies anything is for :func:`verify_slicing` to decide.
     """
     try:
-        spec = GridSpec(int(data["spec"]["cols"]), int(data["spec"]["rows"]))
+        size = [data["spec"][name] for name in ("cols", "rows")]
         orientation = Orientation(data["orientation"])
         sides = [data[name] for name in ("A", "B", "R")]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed slicing document: {exc!r}") from exc
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
+    for name, value in zip(("cols", "rows"), size):
+        if type(value) is not int:
+            raise ValueError(f"malformed slicing document: spec.{name} must be an integer")
+    spec = GridSpec(*size)
     for name, side in zip("ABR", sides):
-        # type() rather than isinstance(): JSON true/false must not pass as 1/0
         if not isinstance(side, list) or any(type(index) is not int for index in side):
             raise ValueError(f"malformed slicing document: {name} must be a list of integers")
     g = grid(spec)

@@ -1,9 +1,18 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from gridlc import parse_edge_list, path, write_edge_list
+from gridlc import (
+    GridSpec,
+    grid,
+    parse_edge_list,
+    path,
+    read_edge_list,
+    super_line_graph,
+    write_edge_list,
+)
 from gridlc.cli import main
 
 
@@ -102,6 +111,20 @@ class TestSuperline:
         assert labels[0] == "0: e0,e1"
         assert labels[-1] == "5: e2,e3"
 
+    def test_grid_4x4_index_2_round_trips(self, capsys, tmp_path):
+        source = tmp_path / "grid4x4.edges"
+        write_edge_list(grid(GridSpec(4, 4)), source)
+        out_file = tmp_path / "l2.edges"
+        code, _, _ = run(
+            capsys, "superline", "--index", "2",
+            "--input", str(source), "--out", str(out_file),
+        )
+        assert code == 0
+        written = read_edge_list(out_file, edge_cap=None)
+        expected, _ = super_line_graph(grid(GridSpec(4, 4)), 2)
+        assert written == expected
+        assert written.edge_count == 21_355
+
     def test_vertex_cap_exit_3(self, capsys, tmp_path):
         source = tmp_path / "p9.edges"
         write_edge_list(path(9), source)
@@ -174,6 +197,49 @@ class TestSliceAndVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cols", 3.9), ("rows", 2.0), ("rows", True), ("cols", "3")],
+        ids=["float", "integral-float", "bool", "str"],
+    )
+    def test_verify_mistyped_grid_size_exit_2(self, capsys, tmp_path, field, value):
+        code, out, _ = run(capsys, "slice", "--cols", "3", "--rows", "2")
+        data = json.loads(out)
+        data["spec"][field] = value
+        document = tmp_path / "mistyped.json"
+        document.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--slicing", str(document))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"spec.{field}" in err
+
+    # 40000x40000 would have 3.2e9 edges; its two 40000-vertex paths alone
+    # peak near 12 MiB.  Building the 65,884 edges of 182x182 peaks near
+    # 26 MiB, so its bound shows that no grid edge was built.
+    @pytest.mark.parametrize("side, bound", [(40000, 32 * 2**20), (182, 4 * 2**20)])
+    def test_oversized_grid_exit_3_before_building(self, capsys, tmp_path, side, bound):
+        document = tmp_path / "huge.json"
+        document.write_text(json.dumps(
+            {"spec": {"cols": side, "rows": side}, "orientation": "vertical",
+             "A": [], "B": [], "R": []}
+        ))
+        tracemalloc.start()
+        try:
+            results = [
+                run(capsys, "slice", "--cols", str(side), "--rows", str(side)),
+                run(capsys, "verify", "--slicing", str(document)),
+            ]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for code, out, err in results:
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "edges, beyond the cap" in err
+        assert peak < bound
 
     def test_slice_infeasible_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "slice", "--cols", "1", "--rows", "5", "--axis", "vertical")

@@ -71,6 +71,33 @@ class TestConstruction:
         with pytest.raises(CapacityError):
             cartesian_product(huge, huge)
 
+    def test_product_edge_cap(self):
+        assert grid(GridSpec(181, 181)).edge_count == 65_160
+        with pytest.raises(CapacityError, match="65884 edges"):
+            grid(GridSpec(182, 182))
+
+
+class TestLazyMasks:
+    def test_construction_builds_no_masks(self):
+        g = grid(GridSpec(3, 3))
+        assert "edge_adjacency" not in vars(g)
+        g.edge_adjacency
+        assert "edge_adjacency" in vars(g)
+
+    def test_read_masks_leave_value_unchanged(self):
+        read, unread = path(4), path(4)
+        assert read.edge_adjacency == (0b010, 0b101, 0b010)
+        assert read == unread and hash(read) == hash(unread)
+        assert {read: 1}[unread] == 1
+        assert repr(read) == repr(unread) == "Graph(vertex_count=4, edges=((0, 1), (1, 2), (2, 3)))"
+
+    def test_line_graph_masks_on_first_access(self, diamond):
+        lg = line_graph(diamond)
+        assert "edge_adjacency" not in vars(lg)
+        for i in range(lg.edge_count):
+            for j in range(lg.edge_count):
+                assert bool(lg.edge_adjacency[i] >> j & 1) == share_endpoint(lg.edges[i], lg.edges[j])
+
 
 class TestCartesianProduct:
     def test_golden_counts(self):

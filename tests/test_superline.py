@@ -25,6 +25,7 @@ from support import (
     grids_with_at_most,
     lc_naive,
     random_simple_graphs,
+    share_endpoint,
     subsets_adjacent_naive,
 )
 
@@ -114,6 +115,27 @@ class TestSuperLineGraph:
         g = grid(GridSpec(3, 3))
         with pytest.raises(CapacityError, match="792"):
             super_line_graph(g, 5, vertex_cap=100)
+
+    def test_output_carries_no_masks(self):
+        # 276 subset vertices and 21,355 edges: eager masks would hold
+        # 21,355 masks of up to 21,355 bits, about 49 MiB.
+        g = grid(GridSpec(4, 4))
+        tracemalloc.start()
+        try:
+            result, _ = super_line_graph(g, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.edge_count == 21_355
+        assert peak < 16 * 2**20
+
+    def test_output_masks_on_first_access(self):
+        result, _ = super_line_graph(grid(GridSpec(2, 3)), 2)
+        assert "edge_adjacency" not in vars(result)
+        for i in range(result.edge_count):
+            for j in range(result.edge_count):
+                expected = share_endpoint(result.edges[i], result.edges[j])
+                assert bool(result.edge_adjacency[i] >> j & 1) == expected
 
 
 class TestFindNonadjacentPair:
