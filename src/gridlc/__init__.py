@@ -14,10 +14,7 @@ from .graph import (
     DEFAULT_EDGE_CAP,
     Graph,
     GridSpec,
-    cartesian_product,
-    edges_adjacent,
     grid,
-    line_graph,
     path,
 )
 from .slicing import (
@@ -39,7 +36,6 @@ from .superline import (
     LcResult,
     WitnessPair,
     find_nonadjacent_pair,
-    is_complete_index,
     lc_bruteforce,
     sets_adjacent,
     super_line_graph,
@@ -65,18 +61,14 @@ __all__ = [
     "VerificationReport",
     "WitnessPair",
     "best_slicing",
-    "cartesian_product",
-    "edges_adjacent",
     "expected_removed_count",
     "find_nonadjacent_pair",
     "format_edge_list",
     "format_label_table",
     "grid",
-    "is_complete_index",
     "lc_bruteforce",
     "lc_grid_formula",
     "lc_path_formula",
-    "line_graph",
     "parse_edge_list",
     "path",
     "read_edge_list",

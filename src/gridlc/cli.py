@@ -77,7 +77,7 @@ def _lc_result_payload(graph: Graph, result: LcResult) -> dict:
         witness = {"r": pair.r, "S": list(pair.S.indices()), "T": list(pair.T.indices())}
     return {
         "lc": result.r,
-        "method": result.method,
+        "method": "brute-force",
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
         "witness": witness,
@@ -90,7 +90,7 @@ def _cmd_lc_brute(args: argparse.Namespace) -> int:
     if args.output == "json":
         print(json.dumps(_lc_result_payload(graph, result), indent=2))
         return EXIT_OK
-    print(f"lc = {result.r} ({result.method})")
+    print(f"lc = {result.r} (brute-force)")
     pair = result.witness_at_r_minus_1
     if pair is None:
         print("witness: none")

@@ -17,13 +17,12 @@ from typing import Iterable
 
 from .errors import CapacityError
 
-#: Default cap on user-supplied edge lists.  Derived constructions (paths,
-#: grids, products, line graphs) validate their own sizes and build uncapped.
+#: Default cap on user-supplied edge lists.  Grids and paths are checked
+#: against their own cap, and super line graphs against a vertex cap.
 DEFAULT_EDGE_CAP = 4096
 
-_PRODUCT_VERTEX_CAP = 2**31
-# Admits a 181x181 grid; verify_slicing's endpoint loop is quadratic in E.
-_PRODUCT_EDGE_CAP = 2**16
+# Admits a 181x181 grid (65,160 edges); checked before any edge is built.
+_GRID_EDGE_CAP = 2**16
 
 
 def _adjacency_masks(edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -150,64 +149,21 @@ class GridSpec:
         return self.rows * (self.cols - 1) + row * self.cols + col
 
 
+def grid(spec: GridSpec) -> Graph:
+    """Grid graph with the vertex ids and edge indices of :class:`GridSpec`."""
+    if spec.edge_count > _GRID_EDGE_CAP:
+        raise CapacityError(
+            f"{spec.cols}x{spec.rows} grid has {spec.edge_count} edges, "
+            f"beyond the cap of {_GRID_EDGE_CAP}"
+        )
+    n, m = spec.cols, spec.rows
+    horizontal = [(i * n + j, i * n + j + 1) for i in range(m) for j in range(n - 1)]
+    vertical = [(v, v + n) for v in range(n * (m - 1))]
+    return Graph(spec.vertex_count, tuple(horizontal + vertical))
+
+
 def path(k: int) -> Graph:
     """Path on ``k`` vertices; edge ``i`` joins vertices ``i`` and ``i + 1``."""
     if k < 1:
         raise ValueError("a path needs at least one vertex")
-    return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)], edge_cap=None)
-
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product of two graphs.
-
-    Vertex ``(a, b)`` gets id ``a * h.vertex_count + b``.  Edges are listed
-    with the h-coordinate varying first: for each vertex ``a`` of ``g`` all
-    edges of ``h`` in index order, then for each edge of ``g`` one copy per
-    vertex of ``h``.  With two paths this yields exactly the grid numbering
-    documented on :class:`GridSpec`.
-    """
-    if g.vertex_count * h.vertex_count > _PRODUCT_VERTEX_CAP:
-        raise CapacityError(
-            f"product has {g.vertex_count} * {h.vertex_count} vertices, "
-            f"beyond the cap of {_PRODUCT_VERTEX_CAP}"
-        )
-    edge_count = g.vertex_count * h.edge_count + g.edge_count * h.vertex_count
-    if edge_count > _PRODUCT_EDGE_CAP:
-        raise CapacityError(
-            f"product has {edge_count} edges, beyond the cap of {_PRODUCT_EDGE_CAP}"
-        )
-    hn = h.vertex_count
-    edges: list[tuple[int, int]] = []
-    for a in range(g.vertex_count):
-        base = a * hn
-        for b1, b2 in h.edges:
-            edges.append((base + b1, base + b2))
-    for a1, a2 in g.edges:
-        for b in range(hn):
-            edges.append((a1 * hn + b, a2 * hn + b))
-    return Graph.from_edges(g.vertex_count * hn, edges, edge_cap=None)
-
-
-def grid(spec: GridSpec) -> Graph:
-    """Grid graph with ``spec.cols * spec.rows`` vertices.
-
-    Built as the Cartesian product of the row path and the column path so
-    the vertex ids and edge indices match :class:`GridSpec` exactly.
-    """
-    return cartesian_product(path(spec.rows), path(spec.cols))
-
-
-def edges_adjacent(g: Graph, i: int, j: int) -> bool:
-    """True when edges ``i`` and ``j`` are distinct and share an endpoint."""
-    if not (0 <= i < g.edge_count and 0 <= j < g.edge_count):
-        raise ValueError(f"edge index out of range: ({i}, {j}) with {g.edge_count} edges")
-    return bool(g.edge_adjacency[i] >> j & 1)
-
-
-def line_graph(g: Graph) -> Graph:
-    """Line graph: vertex ``k`` is edge ``k`` of ``g``, joined when adjacent."""
-    pairs = [
-        (i, j) for i, mask in enumerate(g.edge_adjacency)
-        for j in range(i + 1, g.edge_count) if mask >> j & 1
-    ]
-    return Graph.from_edges(g.edge_count, pairs, edge_cap=None)
+    return grid(GridSpec(k, 1))

@@ -24,6 +24,7 @@ instead of trusting the adjacency masks.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -167,10 +168,10 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
     """Run the five certificate checks and report each outcome.
 
     Checks: (1) A, B, R partition the edge set; (2) no A edge shares a
-    vertex with a B edge, established by a direct double loop over
-    endpoint pairs; (3) the sides have equal size; (4) |R| equals the
-    parity-class count for the claimed cut family; (5) |A| + 1 equals the
-    closed-form lc.  A report that fails only check 5 describes a sound
+    vertex with a B edge, established from the edge endpoints by mapping
+    each vertex to the B edges that touch it; (3) the sides have equal
+    size; (4) |R| equals the parity-class count for the claimed cut
+    family; (5) |A| + 1 equals the closed-form lc.  A report that fails only check 5 describes a sound
     but sub-optimal certificate.
     """
     expected = grid(slicing.spec)
@@ -190,18 +191,22 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
         detail = f"A, B, R are disjoint and cover all {g.edge_count} edges"
     checks.append(CheckResult("partition", not overlap and not missing, detail))
 
+    # Reports the first A edge in index order that shares an endpoint with a
+    # B edge other than itself, with the smallest such B edge: the pair an
+    # A x B double loop would stop at, so the frozen detail text holds.
+    a_indices, b_indices = slicing.A.indices(), slicing.B.indices()
+    b_at: defaultdict[int, list[int]] = defaultdict(list)
+    for j in b_indices:
+        for vertex in g.edges[j]:
+            b_at[vertex].append(j)
     offender: tuple[int, int] | None = None
-    a_edges = [(i, g.edges[i]) for i in slicing.A.indices()]
-    b_edges = [(j, g.edges[j]) for j in slicing.B.indices()]
-    for i, (u1, v1) in a_edges:
-        for j, (u2, v2) in b_edges:
-            if i != j and (u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2):
-                offender = (i, j)
-                break
-        if offender:
+    for i in a_indices:
+        touching = [j for vertex in g.edges[i] for j in b_at.get(vertex, ()) if j != i]
+        if touching:
+            offender = (i, min(touching))
             break
     if offender is None:
-        detail = f"checked {len(a_edges)} x {len(b_edges)} edge pairs, none share a vertex"
+        detail = f"checked {len(a_indices)} x {len(b_indices)} edge pairs, none share a vertex"
     else:
         i, j = offender
         detail = f"A edge {i} {g.edges[i]} shares a vertex with B edge {j} {g.edges[j]}"

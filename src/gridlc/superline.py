@@ -67,15 +67,6 @@ class EdgeSet:
             bits ^= low
         return tuple(out)
 
-    def __len__(self) -> int:
-        return self.cardinality
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.graph.edge_count and bool(self.bits >> index & 1)
-
-    def __iter__(self):
-        return iter(self.indices())
-
 
 def _adjacency_cover(graph: Graph, bits: int) -> int:
     # Union of the adjacency masks of the member edges.  An edge never
@@ -123,10 +114,9 @@ class WitnessPair:
 
 @dataclass(frozen=True)
 class LcResult:
-    """A line completion number plus how it was obtained."""
+    """A line completion number plus, for ``r >= 2``, a witness pair at ``r - 1``."""
 
     r: int
-    method: str  # "formula" or "brute-force"
     witness_at_r_minus_1: WitnessPair | None = None
 
     def __post_init__(self) -> None:
@@ -203,11 +193,6 @@ def find_nonadjacent_pair(
     return WitnessPair(EdgeSet(g, hit[0]), EdgeSet(g, hit[1]), r)
 
 
-def is_complete_index(g: Graph, r: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """True when every pair of distinct r-subsets of edges is adjacent."""
-    return find_nonadjacent_pair(g, r, pair_budget=pair_budget) is None
-
-
 def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
     """Least ``r`` whose super line graph is complete, by upward scan.
 
@@ -218,7 +203,7 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
     level that was fully decided.
     """
     if g.edge_count == 0:
-        return LcResult(0, "brute-force", None)
+        return LcResult(0)
     used = 0
     previous_hit: tuple[int, int] | None = None
     for r in range(1, g.edge_count + 1):
@@ -235,7 +220,7 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
                 witness = WitnessPair(
                     EdgeSet(g, previous_hit[0]), EdgeSet(g, previous_hit[1]), r - 1
                 )
-            return LcResult(r, "brute-force", witness)
+            return LcResult(r, witness)
         previous_hit = hit
     raise AssertionError("the level with a single subset is always complete")
 
@@ -247,7 +232,8 @@ def super_line_graph(
 
     Returns ``(graph, labels)``: vertex ``k`` of ``graph`` is the ``k``-th
     r-subset of edge indices in lexicographic order and ``labels[k]`` is
-    that subset.  Construction tests every subset pair, so cost grows
+    that subset.  With ``r = 1`` it is the line graph of ``g``: vertex ``k``
+    is edge ``k``.  Construction tests every subset pair, so cost grows
     quadratically with the subset count; ``vertex_cap`` bounds it up front.
     """
     if r < 1:

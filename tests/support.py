@@ -18,12 +18,28 @@ def share_endpoint(edge_a: tuple[int, int], edge_b: tuple[int, int]) -> bool:
     return edge_a != edge_b and bool(set(edge_a) & set(edge_b))
 
 
-def subsets_adjacent_naive(graph: Graph, first, second) -> bool:
+def line_graph_naive(graph: Graph) -> Graph:
+    """Vertex ``k`` is edge ``k``; pairs of touching edges in lexicographic order."""
+    pairs = [
+        (i, j)
+        for i in range(graph.edge_count)
+        for j in range(i + 1, graph.edge_count)
+        if share_endpoint(graph.edges[i], graph.edges[j])
+    ]
+    return Graph(graph.edge_count, tuple(pairs))
+
+
+def touching_pair_naive(graph: Graph, first, second):
+    """First ``(i, j)`` in loop order with ``i != j`` whose edges share an endpoint."""
     for i in first:
         for j in second:
             if i != j and share_endpoint(graph.edges[i], graph.edges[j]):
-                return True
-    return False
+                return i, j
+    return None
+
+
+def subsets_adjacent_naive(graph: Graph, first, second) -> bool:
+    return touching_pair_naive(graph, first, second) is not None
 
 
 def find_pair_naive(graph: Graph, r: int):

@@ -22,11 +22,10 @@ import time
 from gridlc import (
     GridSpec,
     best_slicing,
+    find_nonadjacent_pair,
     grid,
-    is_complete_index,
     lc_bruteforce,
     lc_grid_formula,
-    line_graph,
     path,
     super_line_graph,
     verify_slicing,
@@ -34,6 +33,7 @@ from gridlc import (
 from support import (
     grids_with_at_most,
     is_complete_naive,
+    line_graph_naive,
     random_simple_graphs,
     subsets_adjacent_naive,
 )
@@ -71,8 +71,8 @@ def test_criterion_2_super_line_graph_golden():
 
 
 def test_criterion_3_line_graph_golden(diamond):
-    lg = line_graph(diamond)
-    ok = lg.vertex_count == 5 and lg.edge_count == 8
+    lg, _ = super_line_graph(diamond, 1)
+    ok = lg.vertex_count == 5 and lg.edge_count == 8 and lg == line_graph_naive(diamond)
     report(3, "line graph of the diamond has 5 vertices and 8 edges", ok,
            f"{lg.vertex_count} vertices, {lg.edge_count} edges")
 
@@ -136,7 +136,7 @@ def test_criterion_6_monotonicity():
     corpus.extend(random_simple_graphs(50, max_edges=10))
     violations = []
     for g in corpus:
-        flags = [is_complete_index(g, r) for r in range(1, g.edge_count + 1)]
+        flags = [find_nonadjacent_pair(g, r) is None for r in range(1, g.edge_count + 1)]
         for r, (earlier, later) in enumerate(zip(flags, flags[1:]), start=1):
             if earlier and not later:
                 violations.append((g.edges, r))
@@ -148,12 +148,7 @@ def test_criterion_7_index_one_reduction(diamond):
     failures = []
     for name, g in [("diamond", diamond), ("path(5)", path(5)), ("grid(3,3)", grid(GridSpec(3, 3)))]:
         sl, labels = super_line_graph(g, 1)
-        lg = line_graph(g)
-        if not (
-            sl.vertex_count == lg.vertex_count
-            and sl.edges == lg.edges
-            and labels == tuple((i,) for i in range(g.edge_count))
-        ):
+        if not (sl == line_graph_naive(g) and labels == tuple((i,) for i in range(g.edge_count))):
             failures.append(name)
     report(7, "index-1 super line graph coincides with the line graph",
            not failures, str(failures) if failures else "")

@@ -86,6 +86,22 @@ class TestLcBrute:
         code, _, err = run(capsys, "lc-brute", "--input", "/nonexistent/file.edges")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "source", [["--path", "1000000000"], ["--grid", "100000", "100000"]], ids=["path", "grid"]
+    )
+    def test_oversized_graph_exit_3_before_building(self, capsys, source):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "lc-brute", *source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "edges, beyond the cap" in err
+        assert peak < 2**20
+
     def test_huge_vertex_count_without_edges(self, capsys, tmp_path):
         source = tmp_path / "huge.edges"
         source.write_text("p 1000000000000000 0\n")
@@ -215,10 +231,9 @@ class TestSliceAndVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"spec.{field}" in err
 
-    # 40000x40000 would have 3.2e9 edges; its two 40000-vertex paths alone
-    # peak near 12 MiB.  Building the 65,884 edges of 182x182 peaks near
-    # 26 MiB, so its bound shows that no grid edge was built.
-    @pytest.mark.parametrize("side, bound", [(40000, 32 * 2**20), (182, 4 * 2**20)])
+    # 40000x40000 would have 3.2e9 edges.  Building the 65,884 edges of
+    # 182x182 peaks near 26 MiB, so the bound shows that no grid edge was built.
+    @pytest.mark.parametrize("side, bound", [(40000, 4 * 2**20), (182, 4 * 2**20)])
     def test_oversized_grid_exit_3_before_building(self, capsys, tmp_path, side, bound):
         document = tmp_path / "huge.json"
         document.write_text(json.dumps(

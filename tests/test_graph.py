@@ -5,13 +5,11 @@ from gridlc import (
     CapacityError,
     Graph,
     GridSpec,
-    cartesian_product,
-    edges_adjacent,
     grid,
-    line_graph,
     path,
+    super_line_graph,
 )
-from support import graphs, share_endpoint
+from support import graphs, line_graph_naive, share_endpoint
 
 
 class TestPath:
@@ -66,15 +64,13 @@ class TestConstruction:
         g = grid(GridSpec(70, 70))
         assert g.edge_count == 2 * 70 * 70 - 140
 
-    def test_product_vertex_cap(self):
-        huge = Graph.from_edges(2**17, [])
-        with pytest.raises(CapacityError):
-            cartesian_product(huge, huge)
-
-    def test_product_edge_cap(self):
+    def test_grid_edge_cap(self):
         assert grid(GridSpec(181, 181)).edge_count == 65_160
         with pytest.raises(CapacityError, match="65884 edges"):
             grid(GridSpec(182, 182))
+        assert path(2**16 + 1).edge_count == 2**16
+        with pytest.raises(CapacityError, match="65537 edges"):
+            path(2**16 + 2)
 
 
 class TestLazyMasks:
@@ -92,39 +88,39 @@ class TestLazyMasks:
         assert repr(read) == repr(unread) == "Graph(vertex_count=4, edges=((0, 1), (1, 2), (2, 3)))"
 
     def test_line_graph_masks_on_first_access(self, diamond):
-        lg = line_graph(diamond)
+        lg, _ = super_line_graph(diamond, 1)
         assert "edge_adjacency" not in vars(lg)
         for i in range(lg.edge_count):
             for j in range(lg.edge_count):
                 assert bool(lg.edge_adjacency[i] >> j & 1) == share_endpoint(lg.edges[i], lg.edges[j])
 
 
-class TestCartesianProduct:
-    def test_golden_counts(self):
-        g = cartesian_product(path(4), path(6))
-        assert g.vertex_count == 24
-        assert g.edge_count == 38  # 2*4*6 - 4 - 6
-
-    def test_trivial(self):
-        g = cartesian_product(path(1), path(1))
-        assert g.vertex_count == 1
-        assert g.edge_count == 0
+class TestGrid:
+    @pytest.mark.parametrize(
+        "cols,rows", [(6, 4), (4, 6), (1, 1), (1, 5), (5, 1), (2, 2), (3, 3)]
+    )
+    def test_edges_are_cells_at_distance_one(self, cols, rows):
+        g = grid(GridSpec(cols, rows))
+        cells = [(v, divmod(v, cols)) for v in range(cols * rows)]
+        expected = {
+            (u, v)
+            for u, (ru, cu) in cells
+            for v, (rv, cv) in cells
+            if u < v and abs(ru - rv) + abs(cu - cv) == 1
+        }
+        assert g.vertex_count == cols * rows
+        assert len(g.edges) == len(set(g.edges))
+        assert set(g.edges) == expected
 
     def test_square_is_four_cycle(self):
-        g = cartesian_product(path(2), path(2))
+        g = grid(GridSpec(2, 2))
         assert g.vertex_count == 4
-        assert sorted(g.edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert g.edges == ((0, 1), (2, 3), (0, 2), (1, 3))
         degrees = [0] * 4
         for u, v in g.edges:
             degrees[u] += 1
             degrees[v] += 1
         assert degrees == [2, 2, 2, 2]
-
-
-class TestGrid:
-    def test_equals_product_of_paths(self):
-        spec = GridSpec(6, 4)
-        assert grid(spec) == cartesian_product(path(4), path(6))
 
     @pytest.mark.parametrize(
         "cols,rows,vertices,edges",
@@ -186,17 +182,12 @@ class TestGrid:
 class TestEdgeAdjacency:
     def test_path_neighbours(self):
         g = path(5)
-        assert edges_adjacent(g, 0, 1)
-        assert not edges_adjacent(g, 0, 2)
+        assert g.edge_adjacency[0] >> 1 & 1
+        assert not g.edge_adjacency[0] >> 2 & 1
 
     def test_edge_not_adjacent_to_itself(self):
         g = path(5)
-        assert not edges_adjacent(g, 1, 1)
-
-    def test_out_of_range_index(self):
-        g = path(3)
-        with pytest.raises(ValueError):
-            edges_adjacent(g, 0, 2)
+        assert not g.edge_adjacency[1] >> 1 & 1
 
     @pytest.mark.parametrize(
         "g", [path(10), grid(GridSpec(5, 4)), grid(GridSpec(2, 2))], ids=["path10", "grid5x4", "grid2x2"]
@@ -206,7 +197,6 @@ class TestEdgeAdjacency:
         for i in range(g.edge_count):
             for j in range(g.edge_count):
                 expected = share_endpoint(g.edges[i], g.edges[j])
-                assert edges_adjacent(g, i, j) == expected
                 assert bool(g.edge_adjacency[i] >> j & 1) == expected
 
     @given(graphs())
@@ -218,25 +208,28 @@ class TestEdgeAdjacency:
 
 
 class TestLineGraph:
+    """The line graph is the index-1 super line graph."""
+
     def test_diamond_golden(self, diamond):
-        lg = line_graph(diamond)
+        lg, _ = super_line_graph(diamond, 1)
         assert lg.vertex_count == 5
         assert lg.edge_count == 8
 
     def test_diamond_exact_edges(self, diamond):
-        lg = line_graph(diamond)
-        assert set(lg.edges) == {
+        lg, _ = super_line_graph(diamond, 1)
+        assert lg.edges == (
             (0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4),
-        }
+        )
+        assert lg == line_graph_naive(diamond)
 
     def test_single_edge_gives_one_vertex(self):
-        lg = line_graph(path(2))
+        lg, _ = super_line_graph(path(2), 1)
         assert lg.vertex_count == 1
         assert lg.edge_count == 0
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_path_line_graph_is_shorter_path(self, k):
-        lg = line_graph(path(k))
+        lg, _ = super_line_graph(path(k), 1)
         assert lg.vertex_count == k - 1
         assert lg.edge_count == k - 2
         degrees = [0] * lg.vertex_count
@@ -248,13 +241,6 @@ class TestLineGraph:
         else:
             assert sorted(degrees) == [1, 1] + [2] * (k - 3)
 
-    @given(graphs())
+    @given(graphs(min_edges=1))
     def test_edges_exactly_the_adjacent_pairs(self, g):
-        lg = line_graph(g)
-        expected = {
-            (i, j)
-            for i in range(g.edge_count)
-            for j in range(i + 1, g.edge_count)
-            if share_endpoint(g.edges[i], g.edges[j])
-        }
-        assert set(lg.edges) == expected
+        assert super_line_graph(g, 1)[0] == line_graph_naive(g)

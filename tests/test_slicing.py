@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -10,8 +11,8 @@ from gridlc import (
     WitnessPair,
     best_slicing,
     expected_removed_count,
+    find_nonadjacent_pair,
     grid,
-    is_complete_index,
     lc_grid_formula,
     sets_adjacent,
     slice_grid,
@@ -19,7 +20,7 @@ from gridlc import (
     slicing_to_dict,
     verify_slicing,
 )
-from support import subsets_adjacent_naive
+from support import subsets_adjacent_naive, touching_pair_naive
 
 
 class TestSliceGrid:
@@ -140,6 +141,50 @@ class TestVerifySlicing:
             "partition", "non_adjacency", "equal_sides", "removed_count", "formula_bound",
         ]
 
+    @pytest.mark.parametrize("cols", range(2, 9))
+    @pytest.mark.parametrize("rows", range(2, 9))
+    def test_non_adjacency_detail_matches_double_loop(self, cols, rows):
+        # Each removed edge moves into A alone, then into A and B at once;
+        # an edge in both sides is never counted as touching itself.
+        spec = GridSpec(cols, rows)
+        g = grid(spec)
+        good = best_slicing(spec)
+        for moved in good.R.indices():
+            bit = 1 << moved
+            for b_bits in (good.B.bits, good.B.bits | bit):
+                a, b = EdgeSet(g, good.A.bits | bit), EdgeSet(g, b_bits)
+                bad = Slicing(spec, good.orientation, a, b, EdgeSet(g, good.R.bits & ~bit))
+                offender = touching_pair_naive(g, a.indices(), b.indices())
+                if offender is None:
+                    detail = f"checked {a.cardinality} x {b.cardinality} edge pairs, none share a vertex"
+                else:
+                    i, j = offender
+                    detail = f"A edge {i} {g.edges[i]} shares a vertex with B edge {j} {g.edges[j]}"
+                check = verify_slicing(g, bad).checks[1]
+                assert (check.name, check.passed, check.detail) == (
+                    "non_adjacency", offender is None, detail,
+                )
+
+    def test_non_adjacency_reports_the_smallest_touching_b_edge(self):
+        # A edge 2 = (3, 4) of the 3x3 grid touches B edge 6 = (0, 3) at its
+        # first endpoint and B edge 3 = (4, 5) at its second.
+        spec = GridSpec(3, 3)
+        g = grid(spec)
+        sides = [EdgeSet.from_indices(g, s) for s in ([2], [3, 6], [0, 1, 4, 5, 7, 8, 9, 10, 11])]
+        check = verify_slicing(g, Slicing(spec, Orientation.VERTICAL, *sides)).checks[1]
+        assert touching_pair_naive(g, [2], [3, 6]) == (2, 3)
+        assert check.detail == "A edge 2 (3, 4) shares a vertex with B edge 3 (4, 5)"
+
+    def test_large_grid_verifies_in_linear_time(self):
+        # An |A| x |B| endpoint double loop takes several seconds here.
+        spec = GridSpec(100, 100)
+        g, slicing = grid(spec), best_slicing(spec)
+        started = time.process_time()
+        report = verify_slicing(g, slicing)
+        elapsed = time.process_time() - started
+        assert report.all_passed
+        assert elapsed < 1.0
+
     def test_tampered_slicing_rejected(self):
         spec = GridSpec(6, 4)
         g = grid(spec)
@@ -186,14 +231,14 @@ class TestSlicingAsWitness:
         assert not sets_adjacent(g, s.A, s.B)
         assert not subsets_adjacent_naive(g, s.A.indices(), s.B.indices())
         pair = WitnessPair(s.A, s.B, s.A.cardinality)
-        assert not is_complete_index(g, pair.r)
+        assert find_nonadjacent_pair(g, pair.r) is not None
 
     @pytest.mark.parametrize("cols,rows", [(2, 2), (3, 2), (2, 4), (3, 3)])
     def test_oracle_confirms_incompleteness_at_side_size(self, cols, rows):
         spec = GridSpec(cols, rows)
         g = grid(spec)
         s = best_slicing(spec)
-        assert not is_complete_index(g, s.A.cardinality)
+        assert find_nonadjacent_pair(g, s.A.cardinality) is not None
 
 
 class TestSerialization:
