@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad
 arguments or malformed input, 3 a size cap or enumeration budget was hit.
+
+Each command imports the gridlc modules it runs inside its handler, so a
+command pays start-up only for those modules.
 """
 
 from __future__ import annotations
@@ -10,23 +13,11 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, CapacityError
-from .fileio import read_edge_list, write_edge_list, write_label_table
-from .formula import lc_grid_formula
-from .graph import Graph, GridSpec, grid, path
-from .slicing import (
-    best_slicing,
-    slice_grid,
-    slicing_from_dict,
-    slicing_to_dict,
-    verify_slicing,
-)
-from .superline import (
+from .errors import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_CAP,
-    LcResult,
-    lc_bruteforce,
-    super_line_graph,
+    BudgetExceededError,
+    CapacityError,
 )
 
 EXIT_OK = 0
@@ -47,30 +38,36 @@ def _edge_set_text(indices) -> str:
 
 
 def _cmd_lc_formula(args: argparse.Namespace) -> int:
+    from .formula import lc_grid_formula
+
     value, case = lc_grid_formula(args.cols, args.rows)
     if args.output == "json":
         payload = {
             "lc": value,
-            "case": case.case_id.value,
+            "case": case.value,
             "cols": args.cols,
             "rows": args.rows,
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{value} ({case.case_id.value})")
+        print(f"{value} ({case.value})")
     return EXIT_OK
 
 
-def _load_input_graph(args: argparse.Namespace) -> Graph:
+def _load_input_graph(args: argparse.Namespace):
     if args.input is not None:
+        from .fileio import read_edge_list
+
         return read_edge_list(args.input)
+    from .graph import GridSpec, grid, path
+
     if args.grid is not None:
         cols, rows = args.grid
         return grid(GridSpec(cols, rows))
     return path(args.path)
 
 
-def _lc_result_payload(graph: Graph, result: LcResult) -> dict:
+def _lc_result_payload(graph, result) -> dict:
     witness = None
     if result.witness_at_r_minus_1 is not None:
         pair = result.witness_at_r_minus_1
@@ -85,6 +82,8 @@ def _lc_result_payload(graph: Graph, result: LcResult) -> dict:
 
 
 def _cmd_lc_brute(args: argparse.Namespace) -> int:
+    from .superline import lc_bruteforce
+
     graph = _load_input_graph(args)
     result = lc_bruteforce(graph, pair_budget=args.pair_budget)
     if args.output == "json":
@@ -103,6 +102,9 @@ def _cmd_lc_brute(args: argparse.Namespace) -> int:
 
 
 def _cmd_superline(args: argparse.Namespace) -> int:
+    from .fileio import read_edge_list, write_edge_list, write_label_table
+    from .superline import super_line_graph
+
     graph = read_edge_list(args.input)
     result, labels = super_line_graph(graph, args.index, vertex_cap=args.vertex_cap)
     labels_path = args.labels if args.labels is not None else args.out + ".labels"
@@ -126,6 +128,9 @@ def _cmd_superline(args: argparse.Namespace) -> int:
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
+    from .graph import GridSpec
+    from .slicing import best_slicing, slice_grid, slicing_to_dict
+
     spec = GridSpec(args.cols, args.rows)
     if args.axis == "auto":
         slicing = best_slicing(spec)
@@ -136,13 +141,17 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .slicing import slicing_from_dict, verify_slicing
+
     if args.slicing == "-":
         text = sys.stdin.read()
     else:
         with open(args.slicing, "r", encoding="utf-8") as handle:
             text = handle.read()
     slicing = slicing_from_dict(json.loads(text))
-    report = verify_slicing(grid(slicing.spec), slicing)
+    # The sides already belong to grid(slicing.spec); verify_slicing
+    # rebuilds that grid itself to judge the claim independently.
+    report = verify_slicing(slicing.A.graph, slicing)
     if args.output == "json":
         payload = {
             "all_passed": report.all_passed,
@@ -165,6 +174,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_xcheck(args: argparse.Namespace) -> int:
+    from .formula import lc_grid_formula
+    from .graph import GridSpec, grid
+    from .superline import lc_bruteforce
+
     if args.max_edges < 0:
         raise ValueError("--max-edges must be non-negative")
     specs: list[tuple[int, int, int]] = []

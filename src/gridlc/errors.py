@@ -1,6 +1,12 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the default caps that raise them."""
 
 from __future__ import annotations
+
+#: Default cap on subset pairs an enumeration may decide.
+DEFAULT_PAIR_BUDGET = 10**9
+
+#: Default cap on the number of subset vertices a super line graph may have.
+DEFAULT_VERTEX_CAP = 10**5
 
 
 class CapacityError(RuntimeError):

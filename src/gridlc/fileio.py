@@ -9,7 +9,7 @@ index order.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from collections.abc import Sequence
 
 from .graph import DEFAULT_EDGE_CAP, Graph
 

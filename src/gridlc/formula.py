@@ -1,9 +1,8 @@
-"""Closed-form line completion numbers for grid graphs and paths."""
+"""Closed-form line completion numbers for grid graphs (paths included)."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class GridCase(enum.Enum):
@@ -16,16 +15,7 @@ class GridCase(enum.Enum):
     OPPOSITE_PARITY = "opposite_parity"
 
 
-@dataclass(frozen=True)
-class FormulaCase:
-    """The matched branch together with the dimensions it was applied to."""
-
-    case_id: GridCase
-    n: int
-    m: int
-
-
-def lc_grid_formula(n: int, m: int) -> tuple[int, FormulaCase]:
+def lc_grid_formula(n: int, m: int) -> tuple[int, GridCase]:
     """The paper's five-branch closed form for lc of the n-columns-by-m-rows grid.
 
     When both sides are at least 2, ``best_slicing`` certifies the value as
@@ -44,9 +34,9 @@ def lc_grid_formula(n: int, m: int) -> tuple[int, FormulaCase]:
     if n < 1 or m < 1:
         raise ValueError("grid dimensions must both be at least 1")
     if n == 1 and m == 1:
-        return 0, FormulaCase(GridCase.TRIVIAL_1X1, n, m)
+        return 0, GridCase.TRIVIAL_1X1
     if n == 1 or m == 1:
-        return max(n, m) // 2, FormulaCase(GridCase.PATH, n, m)
+        return max(n, m) // 2, GridCase.PATH
     smaller, larger = min(n, m), max(n, m)
     if n % 2 == 0 and m % 2 == 0:
         value = m * n + 1 - (m + n) // 2 - smaller // 2
@@ -57,11 +47,5 @@ def lc_grid_formula(n: int, m: int) -> tuple[int, FormulaCase]:
     else:
         value = m * n + 1 - smaller - (larger + 1) // 2
         case = GridCase.OPPOSITE_PARITY
-    return value, FormulaCase(case, n, m)
+    return value, case
 
-
-def lc_path_formula(k: int) -> int:
-    """Line completion number of the path on ``k`` vertices: floor(k / 2)."""
-    if k < 1:
-        raise ValueError("a path needs at least one vertex")
-    return k // 2

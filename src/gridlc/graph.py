@@ -10,10 +10,9 @@ threads that first read the masks at the same moment compute the same tuple.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .errors import CapacityError
 
@@ -39,17 +38,15 @@ def _adjacency_masks(edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "vertex_count edges")):
     """A simple undirected graph with an indexed edge list.
 
     ``edge_adjacency[i]`` is a bitmask over edge indices, built on first use:
     bit ``j`` is set exactly when ``i != j`` and edges ``i`` and ``j`` share
-    an endpoint.  Equality, hashing and ``repr`` use the two fields alone.
+    an endpoint.  Equality, hashing and ``repr`` use the two fields alone;
+    the masks are cached in the instance ``__dict__``, which is why this
+    class, unlike the other records, keeps one.
     """
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
 
     @cached_property
     def edge_adjacency(self) -> tuple[int, ...]:
@@ -100,8 +97,7 @@ class Graph:
         return (1 << len(self.edges)) - 1
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "cols rows")):
     """Dimensions of a grid graph: ``cols`` cells across, ``rows`` down.
 
     Cell ``(row i, col j)`` is vertex ``i * cols + j``.  Edge indices
@@ -110,12 +106,14 @@ class GridSpec:
     depend on this exact numbering, so it is part of the public contract.
     """
 
-    cols: int
-    rows: int
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.cols < 1 or self.rows < 1:
+    def __new__(cls, cols: int, rows: int) -> GridSpec:
+        if cols < 1 or rows < 1:
             raise ValueError("grid dimensions must both be at least 1")
+        return super().__new__(cls, cols, rows)
 
     @property
     def vertex_count(self) -> int:

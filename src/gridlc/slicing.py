@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .formula import lc_grid_formula
 from .graph import Graph, GridSpec, grid
@@ -43,8 +42,7 @@ class Orientation(enum.Enum):
 _VERTICAL_FAMILY = (Orientation.VERTICAL, Orientation.ALMOST_VERTICAL)
 
 
-@dataclass(frozen=True)
-class Slicing:
+class Slicing(NamedTuple):
     """A claimed certificate: sides A and B plus the removed edge set R."""
 
     spec: GridSpec
@@ -54,15 +52,13 @@ class Slicing:
     R: EdgeSet
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -232,7 +228,7 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
         CheckResult(
             "formula_bound",
             size_a + 1 == lc_value,
-            f"|A| + 1 = {size_a + 1} vs closed-form lc = {lc_value} ({case.case_id.value})",
+            f"|A| + 1 = {size_a + 1} vs closed-form lc = {lc_value} ({case.value})",
         )
     )
     return VerificationReport(tuple(checks))

@@ -18,29 +18,29 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
-from .errors import BudgetExceededError, CapacityError
+from .errors import (
+    DEFAULT_PAIR_BUDGET,
+    DEFAULT_VERTEX_CAP,
+    BudgetExceededError,
+    CapacityError,
+)
 from .graph import Graph
 
-#: Default cap on subset pairs an enumeration may decide.
-DEFAULT_PAIR_BUDGET = 10**9
 
-#: Default cap on the number of subset vertices a super line graph may have.
-DEFAULT_VERTEX_CAP = 10**5
-
-
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(namedtuple("EdgeSet", "graph bits")):
     """A set of edge indices of one particular graph, stored as a bitmask."""
 
-    graph: Graph
-    bits: int
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.graph.edge_count:
+    def __new__(cls, graph: Graph, bits: int) -> EdgeSet:
+        if bits < 0 or bits >> graph.edge_count:
             raise ValueError("bitmask contains edge indices outside the graph")
+        return super().__new__(cls, graph, bits)
 
     @staticmethod
     def from_indices(graph: Graph, indices: Iterable[int]) -> EdgeSet:
@@ -88,8 +88,7 @@ def sets_adjacent(g: Graph, s: EdgeSet, t: EdgeSet) -> bool:
     return bool(_adjacency_cover(g, s.bits) & t.bits)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(namedtuple("WitnessPair", "S T r")):
     """Two equal-size, distinct, mutually non-adjacent edge subsets.
 
     Its existence at size ``r`` shows the super line graph of index ``r``
@@ -97,31 +96,33 @@ class WitnessPair:
     an invalid pair cannot be represented.
     """
 
-    S: EdgeSet
-    T: EdgeSet
-    r: int
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.S.graph != self.T.graph:
+    def __new__(cls, S: EdgeSet, T: EdgeSet, r: int) -> WitnessPair:
+        if S.graph != T.graph:
             raise ValueError("witness sets belong to different graphs")
-        if self.S.cardinality != self.r or self.T.cardinality != self.r:
+        if S.cardinality != r or T.cardinality != r:
             raise ValueError("witness sets must both contain exactly r edges")
-        if self.S.bits == self.T.bits:
+        if S.bits == T.bits:
             raise ValueError("witness sets must be distinct")
-        if sets_adjacent(self.S.graph, self.S, self.T):
+        if sets_adjacent(S.graph, S, T):
             raise ValueError("witness sets are adjacent")
+        return super().__new__(cls, S, T, r)
 
 
-@dataclass(frozen=True)
-class LcResult:
+class LcResult(namedtuple("LcResult", "r witness_at_r_minus_1")):
     """A line completion number plus, for ``r >= 2``, a witness pair at ``r - 1``."""
 
-    r: int
-    witness_at_r_minus_1: WitnessPair | None = None
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.witness_at_r_minus_1 is not None and self.witness_at_r_minus_1.r != self.r - 1:
+    def __new__(cls, r: int, witness_at_r_minus_1: WitnessPair | None = None) -> LcResult:
+        if witness_at_r_minus_1 is not None and witness_at_r_minus_1.r != r - 1:
             raise ValueError("witness must certify incompleteness at r - 1")
+        return super().__new__(cls, r, witness_at_r_minus_1)
 
 
 def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -247,9 +248,11 @@ def super_line_graph(
             f"exceed the cap of {vertex_cap}"
         )
     labels, bitmasks, covers = zip(*_subsets(g, r))
+    # Pairs come out as (i < j), unique and in range, so the graph is built
+    # directly rather than revalidated by Graph.from_edges.
     pairs: list[tuple[int, int]] = []
     for i, cover in enumerate(covers):
         for j in range(i + 1, subset_count):
             if cover & bitmasks[j]:
                 pairs.append((i, j))
-    return Graph.from_edges(subset_count, pairs, edge_cap=None), labels
+    return Graph(subset_count, tuple(pairs)), labels

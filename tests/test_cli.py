@@ -1,18 +1,22 @@
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
 
 from gridlc import (
     GridSpec,
+    best_slicing,
     grid,
     parse_edge_list,
     path,
     read_edge_list,
+    slicing_to_dict,
     super_line_graph,
     write_edge_list,
 )
+import gridlc.graph
 from gridlc.cli import main
 
 
@@ -161,6 +165,26 @@ class TestSliceAndVerify:
         code, out, _ = run(capsys, "verify", "--slicing", str(document))
         assert code == 0
         assert "all 5 checks passed" in out
+
+    def test_verify_builds_the_grid_twice(self, capsys, tmp_path, monkeypatch):
+        # Once to read the document and once inside verify_slicing, which
+        # rebuilds the grid as the independent judge.
+        document = tmp_path / "slicing.json"
+        document.write_text(json.dumps(slicing_to_dict(best_slicing(GridSpec(6, 4)))))
+        real_grid, built = gridlc.graph.grid, []
+
+        def counting_grid(spec):
+            built.append(spec)
+            return real_grid(spec)
+
+        # vars(), not getattr(): the lazy package resolves names it does not hold.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gridlc") and vars(module).get("grid") is real_grid:
+                monkeypatch.setattr(module, "grid", counting_grid)
+        code, out, _ = run(capsys, "verify", "--slicing", str(document))
+        assert code == 0
+        assert "all 5 checks passed" in out
+        assert built == [GridSpec(6, 4)] * 2
 
     def test_explicit_axis(self, capsys):
         code, out, _ = run(capsys, "slice", "--cols", "6", "--rows", "4", "--axis", "horizontal")

@@ -1,6 +1,6 @@
 import pytest
 
-from gridlc import GridCase, lc_grid_formula, lc_path_formula
+from gridlc import GridCase, lc_grid_formula
 
 
 GOLDEN = [
@@ -19,8 +19,7 @@ GOLDEN = [
 def test_golden_values(n, m, expected, case):
     value, matched = lc_grid_formula(n, m)
     assert value == expected
-    assert matched.case_id == case
-    assert (matched.n, matched.m) == (n, m)
+    assert matched is case
 
 
 def test_symmetric_in_dimensions():
@@ -32,7 +31,7 @@ def test_symmetric_in_dimensions():
 def test_case_selection_is_exhaustive():
     for n in range(1, 13):
         for m in range(1, 13):
-            case = lc_grid_formula(n, m)[1].case_id
+            case = lc_grid_formula(n, m)[1]
             if n == m == 1:
                 assert case == GridCase.TRIVIAL_1X1
             elif n == 1 or m == 1:
@@ -54,15 +53,15 @@ def test_rejects_bad_dimensions():
 
 @pytest.mark.parametrize("k,expected", [(1, 0), (2, 1), (5, 2), (9, 4), (10, 5), (25, 12)])
 def test_path_formula(k, expected):
-    assert lc_path_formula(k) == expected
+    assert lc_grid_formula(k, 1)[0] == expected == k // 2
 
 
 def test_path_formula_agrees_with_grid_path_case():
     for k in range(1, 26):
-        assert lc_path_formula(k) == lc_grid_formula(k, 1)[0]
-        assert lc_path_formula(k) == lc_grid_formula(1, k)[0]
+        assert lc_grid_formula(k, 1)[0] == k // 2
+        assert lc_grid_formula(1, k)[0] == k // 2
 
 
 def test_path_formula_rejects_zero():
     with pytest.raises(ValueError):
-        lc_path_formula(0)
+        lc_grid_formula(0, 1)

@@ -10,7 +10,6 @@ from gridlc import (
     Slicing,
     WitnessPair,
     best_slicing,
-    expected_removed_count,
     find_nonadjacent_pair,
     grid,
     lc_grid_formula,
@@ -20,6 +19,7 @@ from gridlc import (
     slicing_to_dict,
     verify_slicing,
 )
+from gridlc.slicing import expected_removed_count
 from support import subsets_adjacent_naive, touching_pair_naive
 
 

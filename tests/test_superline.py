@@ -8,6 +8,7 @@ from gridlc import (
     BudgetExceededError,
     CapacityError,
     EdgeSet,
+    Graph,
     GridSpec,
     WitnessPair,
     find_nonadjacent_pair,
@@ -86,6 +87,8 @@ class TestSuperLineGraph:
         assert g.vertex_count == 6
         assert g.edge_count == 15
         assert labels == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        # Built directly, the output still passes the validating constructor.
+        assert g == Graph.from_edges(g.vertex_count, g.edges, edge_cap=None)
 
     def test_index_one_reduces_to_line_graph(self):
         base = path(5)
@@ -126,6 +129,7 @@ class TestSuperLineGraph:
     def test_output_masks_on_first_access(self):
         result, _ = super_line_graph(grid(GridSpec(2, 3)), 2)
         assert "edge_adjacency" not in vars(result)
+        assert result == Graph.from_edges(result.vertex_count, result.edges, edge_cap=None)
         for i in range(result.edge_count):
             for j in range(result.edge_count):
                 expected = share_endpoint(result.edges[i], result.edges[j])
