@@ -180,15 +180,14 @@ def _cmd_xcheck(args: argparse.Namespace) -> int:
 
     if args.max_edges < 0:
         raise ValueError("--max-edges must be non-negative")
-    specs: list[tuple[int, int, int]] = []
-    cols = 1
-    while cols - 1 <= args.max_edges:
-        rows = 1
-        while 2 * cols * rows - cols - rows <= args.max_edges:
-            specs.append((2 * cols * rows - cols - rows, cols, rows))
-            rows += 1
-        cols += 1
-    specs.sort()
+    # Lazily, by edge count, then cols: a grid has (2 * cols - 1) * rows - cols
+    # edges, so each (edges, cols) fixes rows.
+    specs = (
+        (edges, cols, (edges + cols) // (2 * cols - 1))
+        for edges in range(args.max_edges + 1)
+        for cols in range(1, edges + 2)
+        if (edges + cols) % (2 * cols - 1) == 0
+    )
 
     results = []
     for edges, cols, rows in specs:
@@ -256,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--path", type=_positive_int, metavar="K")
     p.add_argument(
         "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on subset pairs the scan may decide",
+        help="cap on the subsets the level scans are charged; each level r costs "
+        "C(E, r), so the default decides every graph with at most 24 edges",
     )
     p.set_defaults(handler=_cmd_lc_brute)
 
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, required=True)
     p.add_argument(
         "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on subset pairs per grid",
+        help="cap on the subsets charged per grid (see lc-brute --pair-budget)",
     )
     p.set_defaults(handler=_cmd_xcheck)
 
@@ -306,10 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,10 @@ Subset pairs are enumerated lexicographically by sorted edge indices, and
 overlapping pairs are included: two distinct subsets may share edges and
 still be non-adjacent.  Every search here is a pure function of immutable
 inputs.
+
+Level scans are budgeted in subsets: a level is charged all C(E, r) of
+its subsets before it is scanned and is refused whole if that passes the
+budget, so no level is ever cut short.
 """
 
 from __future__ import annotations
@@ -137,44 +141,44 @@ def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         yield indices, bits, cover
 
 
-def _scan_level(
-    graph: Graph, r: int, used: int, limit: int
-) -> tuple[tuple[int, int] | None, int]:
-    """First non-adjacent pair of r-subsets as (s_bits, t_bits), and the budget used.
+def _first_witness(g: Graph, r: int) -> WitnessPair | None:
+    """Lexicographically first non-adjacent pair of r-subsets, or ``None``.
 
-    The pair is ``None`` when the level is complete.  Subsets stream in
-    lexicographic order, so memory stays O(E), and the scan stops at the
-    first subset S that has a partner.  Each S is decided in one step: a
-    partner exists iff some r-subset other than S fits inside the
-    complement of S's adjacency cover, which is a binomial count over the
-    complement's size.  The partner is then built, not searched for.  The
-    budget counts subset pairs: ``used`` is what earlier levels spent, and
-    every outer subset entered is charged its full pair count C(E, r) - i - 1,
-    whether or not the shortcut decided it.
+    ``None`` means the level is complete.  Subsets stream in lexicographic
+    order, so memory stays O(E), and the scan stops at the first subset S
+    that has a partner.  Each S is decided in one step: with F the
+    complement of S's adjacency cover, a partner is an r-subset of F other
+    than S, so one exists iff ``|F| - [S inside F] >= r``.  The partner is
+    then built, not searched for.
     """
-    if limit < 1:
-        raise ValueError("pair budget must be positive")
-    full = graph.full_edge_mask()
-    subsets_of_size = [math.comb(k, r) for k in range(graph.edge_count + 1)]
-    total = subsets_of_size[-1]
-    for i, (indices, bits, cover) in enumerate(_subsets(graph, r)):
-        used += total - i - 1
-        if used > limit:
-            raise BudgetExceededError(f"subset-pair budget of {limit} exhausted")
+    full = g.full_edge_mask()
+    for indices, bits, cover in _subsets(g, r):
         avail = full & ~cover
-        partners = subsets_of_size[avail.bit_count()]
-        if bits & cover == 0:
-            partners -= 1  # S itself sits inside its own complement
-        if partners <= 0:
+        # S lies inside F exactly when no member edge is in S's own cover.
+        if avail.bit_count() - (bits & cover == 0) < r:
             continue
         # S is the first subset with any partner, so all its partners come
         # after it: a partner before it would itself have been an earlier
-        # hit.  The first r-subset of the complement is therefore S or S's
-        # first partner, and at most two candidates are looked at.
-        free = EdgeSet(graph, avail).indices()
+        # hit.  The first r-subset of F is therefore S or S's first
+        # partner, and at most two candidates are looked at.
+        free = EdgeSet(g, avail).indices()
         partner = next(t for t in itertools.combinations(free, r) if t != indices)
-        return (bits, EdgeSet.from_indices(graph, partner).bits), used
-    return None, used
+        return WitnessPair(EdgeSet(g, bits), EdgeSet.from_indices(g, partner), r)
+    return None
+
+
+def _charge(
+    g: Graph, r: int, charged: int, budget: int, last_decided_r: int | None = None
+) -> int:
+    """Charge level r its C(E, r) subsets on top of ``charged``; refuse it past ``budget``."""
+    size = math.comb(g.edge_count, r)
+    if charged + size > budget:
+        raise BudgetExceededError(
+            f"level r = {r} needs {size} subsets; {charged} of the budget of "
+            f"{budget} are already charged",
+            last_decided_r=last_decided_r,
+        )
+    return charged + size
 
 
 def find_nonadjacent_pair(
@@ -182,16 +186,13 @@ def find_nonadjacent_pair(
 ) -> WitnessPair | None:
     """Lexicographically first non-adjacent pair of r-subsets, if any.
 
-    Returns ``None`` only after the enumeration fully decided every pair;
-    running out of budget raises :class:`BudgetExceededError` instead, so
-    completeness is never reported unsoundly.
+    ``None`` means the level is complete.  A level of more than
+    ``pair_budget`` subsets is refused with :class:`BudgetExceededError`.
     """
     if not 1 <= r <= g.edge_count:
         raise ValueError(f"subset size {r} out of range 1..{g.edge_count}")
-    hit, _ = _scan_level(g, r, 0, pair_budget)
-    if hit is None:
-        return None
-    return WitnessPair(EdgeSet(g, hit[0]), EdgeSet(g, hit[1]), r)
+    _charge(g, r, 0, pair_budget)
+    return _first_witness(g, r)
 
 
 def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
@@ -199,30 +200,21 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
 
     Monotonicity of completeness makes the first complete level the
     answer.  For ``r >= 2`` the result carries the witness pair found at
-    ``r - 1``.  The budget spans the whole scan; exhausting it raises
-    :class:`BudgetExceededError` with ``last_decided_r`` set to the last
-    level that was fully decided.
+    ``r - 1``.  The levels' charges add up against ``pair_budget``
+    (levels 1..E cost 2^E - 1 subsets); the level that would pass it is
+    refused with :class:`BudgetExceededError`, whose ``last_decided_r`` is
+    the level before it.
     """
     if g.edge_count == 0:
         return LcResult(0)
-    used = 0
-    previous_hit: tuple[int, int] | None = None
+    charged = 0
+    witness = None
     for r in range(1, g.edge_count + 1):
-        try:
-            hit, used = _scan_level(g, r, used, pair_budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"subset-pair budget of {pair_budget} exhausted while deciding r = {r}",
-                last_decided_r=r - 1,
-            ) from exc
+        charged = _charge(g, r, charged, pair_budget, last_decided_r=r - 1)
+        hit = _first_witness(g, r)
         if hit is None:
-            witness = None
-            if previous_hit is not None:
-                witness = WitnessPair(
-                    EdgeSet(g, previous_hit[0]), EdgeSet(g, previous_hit[1]), r - 1
-                )
             return LcResult(r, witness)
-        previous_hit = hit
+        witness = hit
     raise AssertionError("the level with a single subset is always complete")
 
 

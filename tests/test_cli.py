@@ -86,6 +86,26 @@ class TestLcBrute:
         assert code == 3
         assert "budget" in err
 
+    def test_grid_3x5_under_default_budget(self, capsys):
+        # The two witness sets share e4: overlapping subsets may still be
+        # non-adjacent.
+        code, out, _ = run(capsys, "lc-brute", "--grid", "3", "5")
+        assert code == 0
+        assert out == (
+            "lc = 9 (brute-force)\n"
+            "witness at r = 8: S = {e0, e1, e2, e3, e4, e10, e11, e12}, "
+            "T = {e4, e6, e7, e8, e9, e18, e19, e20}\n"
+        )
+
+    def test_grid_5x5_refused_under_default_budget(self, capsys):
+        code, out, err = run(capsys, "lc-brute", "--grid", "5", "5")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: level r = 7 needs 18643560 subsets; 4598478 of the budget "
+            "of 16777216 are already charged\n"
+        )
+
     def test_missing_input_exit_2(self, capsys):
         code, _, err = run(capsys, "lc-brute", "--input", "/nonexistent/file.edges")
         assert code == 2
@@ -306,6 +326,19 @@ class TestXcheck:
         assert code == 1
         assert "MISMATCH" in out
         assert "3x3" in out
+
+    def test_refused_grid_ends_the_sweep_before_larger_grids_are_listed(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "xcheck", "--max-edges", "100000", "--pair-budget", "1000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget of 1000" in err
+        assert peak < 4 * 2**20
 
 
 class TestParsing:

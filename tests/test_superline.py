@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -164,6 +165,16 @@ class TestFindNonadjacentPair:
         with pytest.raises(BudgetExceededError):
             find_nonadjacent_pair(path(9), 3, pair_budget=1)
 
+    def test_budget_is_charged_the_whole_level(self):
+        # path(9) has 8 edges, so level 3 holds C(8, 3) = 56 subsets; the
+        # first of them already has a partner, but the level costs all 56.
+        g = path(9)
+        witness = find_nonadjacent_pair(g, 3, pair_budget=56)
+        assert (witness.S.indices(), witness.T.indices()) == find_pair_naive(g, 3)
+        with pytest.raises(BudgetExceededError) as info:
+            find_nonadjacent_pair(g, 3, pair_budget=55)
+        assert info.value.last_decided_r is None
+
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_edges=7, min_edges=1), st.data())
     def test_matches_naive_lexicographic_first(self, g, data):
@@ -244,6 +255,29 @@ class TestLcBruteforce:
         with pytest.raises(BudgetExceededError) as info:
             lc_bruteforce(grid(GridSpec(3, 3)), pair_budget=10)
         assert info.value.last_decided_r == 0
+
+    def test_budget_is_the_sum_of_the_scanned_levels(self):
+        # lc(3x3) = 5, so the scan decides levels 1..5 of its 12 edges.
+        g = grid(GridSpec(3, 3))
+        needed = sum(math.comb(12, r) for r in range(1, 6))
+        assert needed == 1585
+        assert lc_bruteforce(g, pair_budget=needed).r == 5
+        with pytest.raises(BudgetExceededError) as info:
+            lc_bruteforce(g, pair_budget=needed - 1)
+        assert info.value.last_decided_r == 4
+
+    def test_default_budget_refuses_5x5_before_scanning_level_7(self):
+        # Levels 1..6 of the 40 edges cost 4,598,478 subsets and level 7
+        # alone costs C(40, 7) = 18,643,560, past 2^24 = 16,777,216.
+        started = time.process_time()
+        with pytest.raises(BudgetExceededError) as info:
+            lc_bruteforce(grid(GridSpec(5, 5)))
+        assert time.process_time() - started < 0.1
+        assert info.value.last_decided_r == 6
+        assert str(info.value) == (
+            "level r = 7 needs 18643560 subsets; 4598478 of the budget of "
+            "16777216 are already charged"
+        )
 
     @pytest.mark.parametrize(
         "g",
