@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad
 arguments or malformed input, 3 a size cap or enumeration budget was hit.
 
-Each command imports the gridlc modules it runs inside its handler, so a
-command pays start-up only for those modules.
+Each ``_cmd_*`` handler returns its exit code, its JSON payload and its
+text lines, built from the same values; ``main`` prints the payload under
+``--output json`` and the lines otherwise.  Each handler imports the gridlc
+modules it runs, so a command pays start-up only for those modules.
 """
 
 from __future__ import annotations
@@ -37,21 +39,12 @@ def _edge_set_text(indices) -> str:
     return "{" + ", ".join(f"e{i}" for i in indices) + "}"
 
 
-def _cmd_lc_formula(args: argparse.Namespace) -> int:
+def _cmd_lc_formula(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .formula import lc_grid_formula
 
     value, case = lc_grid_formula(args.cols, args.rows)
-    if args.output == "json":
-        payload = {
-            "lc": value,
-            "case": case.value,
-            "cols": args.cols,
-            "rows": args.rows,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{value} ({case.value})")
-    return EXIT_OK
+    payload = {"lc": value, "case": case.value, "cols": args.cols, "rows": args.rows}
+    return EXIT_OK, payload, [f"{value} ({case.value})"]
 
 
 def _load_input_graph(args: argparse.Namespace):
@@ -67,41 +60,31 @@ def _load_input_graph(args: argparse.Namespace):
     return path(args.path)
 
 
-def _lc_result_payload(graph, result) -> dict:
-    witness = None
-    if result.witness_at_r_minus_1 is not None:
-        pair = result.witness_at_r_minus_1
-        witness = {"r": pair.r, "S": list(pair.S.indices()), "T": list(pair.T.indices())}
-    return {
+def _cmd_lc_brute(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+    from .superline import lc_bruteforce
+
+    graph = _load_input_graph(args)
+    result = lc_bruteforce(graph, pair_budget=args.pair_budget)
+    pair = result.witness_at_r_minus_1
+    if pair is None:
+        witness, witness_line = None, "witness: none"
+    else:
+        S, T = pair.S.indices(), pair.T.indices()
+        witness = {"r": pair.r, "S": S, "T": T}
+        witness_line = (
+            f"witness at r = {pair.r}: S = {_edge_set_text(S)}, T = {_edge_set_text(T)}"
+        )
+    payload = {
         "lc": result.r,
         "method": "brute-force",
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
         "witness": witness,
     }
+    return EXIT_OK, payload, [f"lc = {result.r} (brute-force)", witness_line]
 
 
-def _cmd_lc_brute(args: argparse.Namespace) -> int:
-    from .superline import lc_bruteforce
-
-    graph = _load_input_graph(args)
-    result = lc_bruteforce(graph, pair_budget=args.pair_budget)
-    if args.output == "json":
-        print(json.dumps(_lc_result_payload(graph, result), indent=2))
-        return EXIT_OK
-    print(f"lc = {result.r} (brute-force)")
-    pair = result.witness_at_r_minus_1
-    if pair is None:
-        print("witness: none")
-    else:
-        print(
-            f"witness at r = {pair.r}: S = {_edge_set_text(pair.S.indices())}, "
-            f"T = {_edge_set_text(pair.T.indices())}"
-        )
-    return EXIT_OK
-
-
-def _cmd_superline(args: argparse.Namespace) -> int:
+def _cmd_superline(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .fileio import read_edge_list, write_edge_list, write_label_table
     from .superline import super_line_graph
 
@@ -110,24 +93,21 @@ def _cmd_superline(args: argparse.Namespace) -> int:
     labels_path = args.labels if args.labels is not None else args.out + ".labels"
     write_edge_list(result, args.out)
     write_label_table(labels, labels_path)
-    if args.output == "json":
-        payload = {
-            "index": args.index,
-            "vertices": result.vertex_count,
-            "edges": result.edge_count,
-            "out": args.out,
-            "labels": labels_path,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"wrote index-{args.index} super line graph: {result.vertex_count} vertices, "
-            f"{result.edge_count} edges -> {args.out} (labels -> {labels_path})"
-        )
-    return EXIT_OK
+    payload = {
+        "index": args.index,
+        "vertices": result.vertex_count,
+        "edges": result.edge_count,
+        "out": args.out,
+        "labels": labels_path,
+    }
+    line = (
+        f"wrote index-{args.index} super line graph: {result.vertex_count} vertices, "
+        f"{result.edge_count} edges -> {args.out} (labels -> {labels_path})"
+    )
+    return EXIT_OK, payload, [line]
 
 
-def _cmd_slice(args: argparse.Namespace) -> int:
+def _cmd_slice(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .graph import GridSpec
     from .slicing import best_slicing, slice_grid, slicing_to_dict
 
@@ -136,11 +116,10 @@ def _cmd_slice(args: argparse.Namespace) -> int:
         slicing = best_slicing(spec)
     else:
         slicing = slice_grid(spec, args.axis)
-    print(json.dumps(slicing_to_dict(slicing), indent=2))
-    return EXIT_OK
+    return EXIT_OK, slicing_to_dict(slicing), []
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .slicing import slicing_from_dict, verify_slicing
 
     if args.slicing == "-":
@@ -148,32 +127,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         with open(args.slicing, "r", encoding="utf-8") as handle:
             text = handle.read()
-    slicing = slicing_from_dict(json.loads(text))
+    try:
+        document = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed slicing document: {exc}") from None
+    slicing = slicing_from_dict(document)
     # The sides already belong to grid(slicing.spec); verify_slicing
     # rebuilds that grid itself to judge the claim independently.
     report = verify_slicing(slicing.A.graph, slicing)
-    if args.output == "json":
-        payload = {
-            "all_passed": report.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+    lines = [f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})" for c in report.checks]
+    failed = sum(not c.passed for c in report.checks)
+    if failed:
+        lines.append(f"{failed} of {len(lines)} checks failed")
     else:
-        for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"{check.name}: {status} ({check.detail})")
-        failed = sum(1 for c in report.checks if not c.passed)
-        if failed:
-            print(f"{failed} of {len(report.checks)} checks failed")
-        else:
-            print(f"all {len(report.checks)} checks passed")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+        lines.append(f"all {len(lines)} checks passed")
+    payload = {"all_passed": not failed, "checks": [c._asdict() for c in report.checks]}
+    return (EXIT_CHECK_FAILED if failed else EXIT_OK), payload, lines
 
 
-def _cmd_xcheck(args: argparse.Namespace) -> int:
+def _cmd_xcheck(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .formula import lc_grid_formula
     from .graph import GridSpec, grid
     from .superline import lc_bruteforce
@@ -189,42 +161,25 @@ def _cmd_xcheck(args: argparse.Namespace) -> int:
         if (edges + cols) % (2 * cols - 1) == 0
     )
 
-    results = []
+    grids, lines, mismatches = [], [" cols rows edges formula oracle agree"], []
     for edges, cols, rows in specs:
-        formula_value, _ = lc_grid_formula(cols, rows)
-        oracle = lc_bruteforce(grid(GridSpec(cols, rows)), pair_budget=args.pair_budget)
-        results.append(
-            {
-                "cols": cols,
-                "rows": rows,
-                "edges": edges,
-                "formula": formula_value,
-                "oracle": oracle.r,
-                "agree": formula_value == oracle.r,
-            }
+        formula, _ = lc_grid_formula(cols, rows)
+        oracle = lc_bruteforce(grid(GridSpec(cols, rows)), pair_budget=args.pair_budget).r
+        agree = formula == oracle
+        grids.append(
+            {"cols": cols, "rows": rows, "edges": edges,
+             "formula": formula, "oracle": oracle, "agree": agree}
         )
-    all_agree = all(row["agree"] for row in results)
-
-    if args.output == "json":
-        print(json.dumps({"max_edges": args.max_edges, "grids": results, "all_agree": all_agree}, indent=2))
-    else:
-        print(" cols rows edges formula oracle agree")
-        for row in results:
-            mark = "yes" if row["agree"] else "NO"
-            print(
-                f"{row['cols']:>5} {row['rows']:>4} {row['edges']:>5} "
-                f"{row['formula']:>7} {row['oracle']:>6} {mark}"
+        lines.append(
+            f"{cols:>5} {rows:>4} {edges:>5} {formula:>7} {oracle:>6} {'yes' if agree else 'NO'}"
+        )
+        if not agree:
+            mismatches.append(
+                f"MISMATCH: {cols}x{rows} grid has formula {formula} but oracle {oracle}"
             )
-        if all_agree:
-            print(f"all {len(results)} grids agree")
-        else:
-            bad = [r for r in results if not r["agree"]]
-            for row in bad:
-                print(
-                    f"MISMATCH: {row['cols']}x{row['rows']} grid has formula "
-                    f"{row['formula']} but oracle {row['oracle']}"
-                )
-    return EXIT_OK if all_agree else EXIT_CHECK_FAILED
+    lines.extend(mismatches or [f"all {len(grids)} grids agree"])
+    payload = {"max_edges": args.max_edges, "grids": grids, "all_agree": not mismatches}
+    return (EXIT_CHECK_FAILED if mismatches else EXIT_OK), payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,6 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     output_parent.add_argument(
         "--output", choices=("text", "json"), default="text", help="stdout format"
     )
+    budget_parent = argparse.ArgumentParser(add_help=False)
+    budget_parent.add_argument(
+        "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
+        help="cap on the subsets the level scans are charged, per grid in xcheck; "
+        "each level r costs C(E, r), so the default decides every graph with at "
+        "most 24 edges",
+    )
 
     p = sub.add_parser(
         "lc-formula", parents=[output_parent], help="closed-form lc of a grid"
@@ -247,17 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lc_formula)
 
     p = sub.add_parser(
-        "lc-brute", parents=[output_parent], help="brute-force lc of a graph"
+        "lc-brute", parents=[output_parent, budget_parent], help="brute-force lc of a graph"
     )
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="edge-list file")
     source.add_argument("--grid", type=int, nargs=2, metavar=("COLS", "ROWS"))
     source.add_argument("--path", type=_positive_int, metavar="K")
-    p.add_argument(
-        "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on the subsets the level scans are charged; each level r costs "
-        "C(E, r), so the default decides every graph with at most 24 edges",
-    )
     p.set_defaults(handler=_cmd_lc_brute)
 
     p = sub.add_parser(
@@ -277,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--axis", choices=("auto", "vertical", "horizontal"), default="auto")
-    p.set_defaults(handler=_cmd_slice)
+    p.set_defaults(handler=_cmd_slice, output="json")
 
     p = sub.add_parser(
         "verify", parents=[output_parent], help="check a slicing certificate"
@@ -286,14 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(
-        "xcheck", parents=[output_parent],
+        "xcheck", parents=[output_parent, budget_parent],
         help="compare oracle and formula on every small grid",
     )
     p.add_argument("--max-edges", type=int, required=True)
-    p.add_argument(
-        "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on the subsets charged per grid (see lc-brute --pair-budget)",
-    )
     p.set_defaults(handler=_cmd_xcheck)
 
     return parser
@@ -302,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
+        print(json.dumps(payload, indent=2) if args.output == "json" else "\n".join(lines))
+        return code
     except (BudgetExceededError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

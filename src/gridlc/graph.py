@@ -123,28 +123,11 @@ class GridSpec(namedtuple("GridSpec", "cols rows")):
     def edge_count(self) -> int:
         return 2 * self.cols * self.rows - self.cols - self.rows
 
-    def vertex_id(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(f"cell ({row}, {col}) outside a {self.cols}x{self.rows} grid")
-        return row * self.cols + col
-
     def vertex_coords(self, vertex: int) -> tuple[int, int]:
-        """Inverse of :meth:`vertex_id`, returning ``(row, col)``."""
+        """``(row, col)`` of cell ``vertex``, so that ``row * cols + col == vertex``."""
         if not 0 <= vertex < self.vertex_count:
             raise ValueError(f"vertex {vertex} outside a {self.cols}x{self.rows} grid")
         return divmod(vertex, self.cols)
-
-    def horizontal_edge_index(self, row: int, col: int) -> int:
-        """Index of the edge joining ``(row, col)`` and ``(row, col + 1)``."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols - 1):
-            raise ValueError(f"no horizontal edge at ({row}, {col})")
-        return row * (self.cols - 1) + col
-
-    def vertical_edge_index(self, row: int, col: int) -> int:
-        """Index of the edge joining ``(row, col)`` and ``(row + 1, col)``."""
-        if not (0 <= row < self.rows - 1 and 0 <= col < self.cols):
-            raise ValueError(f"no vertical edge at ({row}, {col})")
-        return self.rows * (self.cols - 1) + row * self.cols + col
 
 
 def grid(spec: GridSpec) -> Graph:

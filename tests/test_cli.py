@@ -1,13 +1,21 @@
+import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlc import (
     GridSpec,
     best_slicing,
+    format_edge_list,
     grid,
     parse_edge_list,
     path,
@@ -18,6 +26,10 @@ from gridlc import (
 )
 import gridlc.graph
 from gridlc.cli import main
+from support import graphs
+
+
+SRC = Path(gridlc.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -300,6 +312,22 @@ class TestSliceAndVerify:
             assert "edges, beyond the cap" in err
         assert peak < bound
 
+    def test_verify_deeply_nested_document_exit_2(self, tmp_path):
+        # A fresh interpreter, so that an escaping RecursionError would show
+        # as the traceback and exit 1 that a user sees.
+        document = tmp_path / "deep.json"
+        document.write_text("[" * 100_000 + "]" * 100_000)
+        done = subprocess.run(
+            [sys.executable, "-m", "gridlc.cli", "verify", "--slicing", str(document)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: malformed slicing document: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_slice_infeasible_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "slice", "--cols", "1", "--rows", "5", "--axis", "vertical")
         assert code == 2
@@ -341,6 +369,101 @@ class TestXcheck:
         assert peak < 4 * 2**20
 
 
+# JSON values of every type, nested, to put in place of a field.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=10,
+)
+DOCUMENT_FIELDS = ("spec", "spec.cols", "spec.rows", "orientation", "A", "B", "R")
+
+
+@st.composite
+def slicing_documents(draw):
+    """The best slicing of a grid of at most 5x5 with some fields broken."""
+    data = slicing_to_dict(best_slicing(GridSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5)))))
+    for field in draw(st.sets(st.sampled_from(DOCUMENT_FIELDS), max_size=3)):
+        *parents, key = field.split(".")
+        holder = data.get("spec") if parents else data
+        if not isinstance(holder, dict):
+            continue
+        if draw(st.booleans()):
+            holder.pop(key, None)
+            continue
+        holder[key] = draw(st.one_of(
+            json_values,
+            st.integers(-2, 6) | st.just(10**6),
+            st.sampled_from(["vertical", "horizontal", "diagonal"]),
+            st.lists(st.integers(-3, 45), max_size=25),
+        ))
+    sides = [data.get("A"), data.get("R")]
+    if draw(st.booleans()) and all(isinstance(side, list) for side in sides) and sides[1]:
+        data["A"].append(data["R"].pop())
+    return json.dumps(data)
+
+
+@st.composite
+def edge_lists(draw):
+    """An edge list of at most 10 edges, with up to two lines replaced by noise.
+
+    The noise holds no newline, so no more than 10 lines follow the header
+    and no graph that parses has more than 10 edges.
+    """
+    lines = format_edge_list(draw(graphs())).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.one_of(
+            st.text(alphabet="p -#x0123456789", max_size=8),
+            st.sampled_from(["p 1000000000000000 0", "p -1 0", "p 4 11", "0 0", "1 0"]),
+        ))
+    return "\n".join(lines)
+
+
+def run_in_dir(directory, argv):
+    """``main(argv)`` in ``directory``, counting argparse's exit as an exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeFuzz:
+    """Malformed input ends in an exit code of the contract, never a traceback.
+
+    Exits 2 and 3 print exactly one ``error:`` line, exits 0 and 1 none.
+    """
+
+    def check(self, document: str, argv: list[str]) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            Path(directory, "input").write_text(document, encoding="utf-8")
+            code, _, err = run_in_dir(directory, argv)
+        assert code in (0, 1, 2, 3)
+        assert err.count("error:") == (1 if code in (2, 3) else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(slicing_documents(), json_values.map(json.dumps), st.text(max_size=20)))
+    def test_verify(self, document):
+        self.check(document, ["verify", "--slicing", "input"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_lc_brute(self, document):
+        self.check(document, ["lc-brute", "--input", "input"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists())
+    def test_superline(self, document):
+        self.check(document, ["superline", "--index", "2", "--input", "input", "--out", "out"])
+
+
 class TestParsing:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -356,3 +479,147 @@ class TestParsing:
         with pytest.raises(SystemExit) as info:
             main(["lc-brute", "--path", "5", "--pair-budget", "0"])
         assert info.value.code == 2
+
+
+# Every command's stdout, byte for byte, with its exit code and the files it
+# writes.  Long outputs are stored as their SHA-256.  Each case runs in a
+# directory that holds p5.edges (path(5)), slicing.json (the best slicing of
+# 6x4) and tampered.json (the same with R[0] moved into A).
+FROZEN = [
+    (["lc-formula", "--cols", "6", "--rows", "4"], 0, "18 (both_even)\n", {}),
+    (
+        ["lc-formula", "--cols", "6", "--rows", "4", "--output", "json"], 0,
+        '{\n  "lc": 18,\n  "case": "both_even",\n  "cols": 6,\n  "rows": 4\n}\n', {},
+    ),
+    (
+        ["lc-brute", "--path", "5"], 0,
+        "lc = 2 (brute-force)\nwitness at r = 1: S = {e0}, T = {e2}\n", {},
+    ),
+    (
+        ["lc-brute", "--input", "p5.edges", "--output", "json"], 0,
+        '{\n  "lc": 2,\n  "method": "brute-force",\n  "vertices": 5,\n  "edges": 4,\n'
+        '  "witness": {\n    "r": 1,\n    "S": [\n      0\n    ],\n    "T": [\n      2\n'
+        '    ]\n  }\n}\n', {},
+    ),
+    (["lc-brute", "--grid", "1", "1"], 0, "lc = 0 (brute-force)\nwitness: none\n", {}),
+    (
+        ["lc-brute", "--grid", "1", "1", "--output", "json"], 0,
+        '{\n  "lc": 0,\n  "method": "brute-force",\n  "vertices": 1,\n  "edges": 0,\n'
+        '  "witness": null\n}\n', {},
+    ),
+    (["lc-brute", "--grid", "3", "3", "--pair-budget", "5"], 3, "", {}),
+    (
+        ["superline", "--index", "2", "--input", "p5.edges", "--out", "l2.edges"], 0,
+        "wrote index-2 super line graph: 6 vertices, 15 edges -> l2.edges "
+        "(labels -> l2.edges.labels)\n",
+        {
+            "l2.edges": "35979b64183c7805b20140371fe3a31565e5617700fe7fbe437630415e487e5e",
+            "l2.edges.labels": "2116919bcbaee119e3f61f9b1f07bebf1c705d941e595c219768afa2880d0a9d",
+        },
+    ),
+    (
+        ["superline", "--index", "2", "--input", "p5.edges", "--out", "l2.edges",
+         "--labels", "l2.txt", "--output", "json"], 0,
+        '{\n  "index": 2,\n  "vertices": 6,\n  "edges": 15,\n  "out": "l2.edges",\n'
+        '  "labels": "l2.txt"\n}\n',
+        {
+            "l2.edges": "35979b64183c7805b20140371fe3a31565e5617700fe7fbe437630415e487e5e",
+            "l2.txt": "2116919bcbaee119e3f61f9b1f07bebf1c705d941e595c219768afa2880d0a9d",
+        },
+    ),
+    (
+        ["slice", "--cols", "6", "--rows", "4"], 0,
+        "sha256:dce660dce9e15325e432cc9c62313ccc6456c50e93cb3eb5f285c26617a217b8", {},
+    ),
+    (
+        ["slice", "--cols", "6", "--rows", "4", "--axis", "horizontal"], 0,
+        "sha256:4e38a84787a2dcf5f7ec38fc1c6264396de87440d44afd21ec69c9996c59fff8", {},
+    ),
+    (
+        ["verify", "--slicing", "slicing.json"], 0,
+        "partition: PASS (A, B, R are disjoint and cover all 38 edges)\n"
+        "non_adjacency: PASS (checked 17 x 17 edge pairs, none share a vertex)\n"
+        "equal_sides: PASS (|A| = 17, |B| = 17)\n"
+        "removed_count: PASS (|R| = 4, expected 4 for a vertical cut of a 6x4 grid)\n"
+        "formula_bound: PASS (|A| + 1 = 18 vs closed-form lc = 18 (both_even))\n"
+        "all 5 checks passed\n", {},
+    ),
+    (
+        ["verify", "--slicing", "slicing.json", "--output", "json"], 0,
+        "sha256:19823e33c7996761fbd02924e61518d47c0e58caf8ac452711d9c48ad27c5d58", {},
+    ),
+    (
+        ["verify", "--slicing", "tampered.json"], 1,
+        "partition: PASS (A, B, R are disjoint and cover all 38 edges)\n"
+        "non_adjacency: FAIL (A edge 2 (2, 3) shares a vertex with B edge 3 (3, 4))\n"
+        "equal_sides: FAIL (|A| = 18, |B| = 17)\n"
+        "removed_count: FAIL (|R| = 3, expected 4 for a vertical cut of a 6x4 grid)\n"
+        "formula_bound: FAIL (|A| + 1 = 19 vs closed-form lc = 18 (both_even))\n"
+        "4 of 5 checks failed\n", {},
+    ),
+    (
+        ["verify", "--slicing", "tampered.json", "--output", "json"], 1,
+        "sha256:55020afc8c57ac7778d41bd3a83356da34cbaebc42e0255fccfb3c7c48e4751e", {},
+    ),
+    (["xcheck", "--max-edges", "0"], 0, " cols rows edges formula oracle agree\n"
+     "    1    1     0       0      0 yes\nall 1 grids agree\n", {}),
+    (["xcheck", "--max-edges", "12", "--pair-budget", "100"], 3, "", {}),
+    (
+        ["xcheck", "--max-edges", "5"], 0,
+        " cols rows edges formula oracle agree\n"
+        "    1    1     0       0      0 yes\n"
+        "    1    2     1       1      1 yes\n"
+        "    2    1     1       1      1 yes\n"
+        "    1    3     2       1      1 yes\n"
+        "    3    1     2       1      1 yes\n"
+        "    1    4     3       2      2 yes\n"
+        "    4    1     3       2      2 yes\n"
+        "    1    5     4       2      2 yes\n"
+        "    2    2     4       2      2 yes\n"
+        "    5    1     4       2      2 yes\n"
+        "    1    6     5       3      3 yes\n"
+        "    6    1     5       3      3 yes\n"
+        "all 12 grids agree\n", {},
+    ),
+    (
+        ["xcheck", "--max-edges", "5", "--output", "json"], 0,
+        "sha256:24e63130f119891bec222a84f1da2c0048d77fa76b27c11d12c48a9f6bf903c1", {},
+    ),
+    (
+        ["xcheck", "--max-edges", "12"], 1,
+        "sha256:b1cf57aac0bd68c39014075c200b83200c73b59352734319531cca3710786899", {},
+    ),
+    (
+        ["xcheck", "--max-edges", "12", "--output", "json"], 1,
+        "sha256:ff0afd8a4bc8d88b9b767f67dc5ea4ea3cc4aa9c5bae0b0ddae7ca5d5126d89c", {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_out, expected_files",
+    FROZEN,
+    ids=[" ".join(case[0]) for case in FROZEN],
+)
+def test_frozen_stdout(
+    capsys, tmp_path, monkeypatch, argv, expected_code, expected_out, expected_files
+):
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(path(5), "p5.edges")
+    data = slicing_to_dict(best_slicing(GridSpec(6, 4)))
+    (tmp_path / "slicing.json").write_text(json.dumps(data))
+    data["A"].append(data["R"].pop(0))
+    (tmp_path / "tampered.json").write_text(json.dumps(data))
+    inputs = set(os.listdir(tmp_path))
+
+    code, out, _ = run(capsys, *argv)
+    assert code == expected_code
+    if expected_out.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected_out
+    else:
+        assert out == expected_out
+    written = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in sorted(set(os.listdir(tmp_path)) - inputs)
+    }
+    assert written == expected_files

@@ -138,23 +138,25 @@ class TestGrid:
         assert g.vertex_count == cols * rows == spec.vertex_count
         assert g.edge_count == 2 * cols * rows - cols - rows == spec.edge_count
 
-    def test_edge_index_helpers_match_enumeration(self):
-        spec = GridSpec(4, 3)
-        g = grid(spec)
-        for row in range(spec.rows):
-            for col in range(spec.cols - 1):
-                index = spec.horizontal_edge_index(row, col)
-                assert g.edges[index] == (spec.vertex_id(row, col), spec.vertex_id(row, col + 1))
-        for row in range(spec.rows - 1):
-            for col in range(spec.cols):
-                index = spec.vertical_edge_index(row, col)
-                assert g.edges[index] == (spec.vertex_id(row, col), spec.vertex_id(row + 1, col))
+    def test_edge_index_numbering_matches_enumeration(self):
+        # Horizontal edges first, row-major, then vertical edges, row-major.
+        cols, rows = 4, 3
+        g = grid(GridSpec(cols, rows))
+        for row in range(rows):
+            for col in range(cols - 1):
+                v = row * cols + col
+                assert g.edges[row * (cols - 1) + col] == (v, v + 1)
+        for row in range(rows - 1):
+            for col in range(cols):
+                v = row * cols + col
+                assert g.edges[rows * (cols - 1) + row * cols + col] == (v, v + cols)
 
     def test_vertex_coords_roundtrip(self):
         spec = GridSpec(5, 3)
         for vertex in range(spec.vertex_count):
             row, col = spec.vertex_coords(vertex)
-            assert spec.vertex_id(row, col) == vertex
+            assert 0 <= row < spec.rows and 0 <= col < spec.cols
+            assert row * spec.cols + col == vertex
 
     @pytest.mark.parametrize("cols,rows", [(2, 5), (3, 4), (6, 4), (7, 5)])
     def test_transpose_has_same_counts_and_degrees(self, cols, rows):
