@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad
-arguments or malformed input, 3 a size cap or enumeration budget was hit.
+arguments or malformed input, 3 a size cap or enumeration budget was hit,
+4 an internal error, a bug in gridlc, reported on one ``internal error:``
+line.  A reader that closes stdout early (``gridlc slice ... | head``)
+does not change the exit code.
 
 Each ``_cmd_*`` handler returns its exit code, its JSON payload and its
 text lines, built from the same values; ``main`` prints the payload under
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -26,6 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
@@ -196,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     budget_parent = argparse.ArgumentParser(add_help=False)
     budget_parent.add_argument(
         "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on the subsets the level scans are charged, per grid in xcheck; "
-        "each level r costs C(E, r), so the default decides every graph with at "
-        "most 24 edges",
+        help="cap on the subsets of the one level scanned for the witness, level "
+        "lc - 1 of C(E, lc - 1) subsets, per grid in xcheck; the default decides "
+        "every graph with at most 26 edges",
     )
 
     p = sub.add_parser(
@@ -256,7 +261,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
-        print(json.dumps(payload, indent=2) if args.output == "json" else "\n".join(lines))
+        try:
+            print(json.dumps(payload, indent=2) if args.output == "json" else "\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early; the answer stands.  Python flushes
+            # stdout again at exit, so point it at devnull to keep that quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (BudgetExceededError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -264,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

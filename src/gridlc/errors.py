@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-#: Default cap on the subsets a level scan is charged.  Each level costs all
-#: C(E, r) of its subsets and levels 1..E total 2^E - 1, so the default
-#: decides every graph with at most 24 edges.
+#: Default cap on the subsets a level scan is charged.  A level costs all
+#: C(E, r) of its subsets, and ``lc_bruteforce`` scans level lc - 1 alone;
+#: C(26, 13) = 10,400,600 fits, so the default decides every graph with at
+#: most 26 edges.
 DEFAULT_PAIR_BUDGET = 2**24
 
 #: Default cap on the number of subset vertices a super line graph may have.
@@ -20,6 +21,8 @@ class BudgetExceededError(RuntimeError):
 
     Deliberately distinct from "no witness exists": when this is raised,
     nothing may be concluded about completeness at the refused level.
+    ``last_decided_r`` is ``None`` from every gridlc scan: ``lc_bruteforce``
+    scans only level lc - 1 and reports no value without its witness.
     """
 
     def __init__(self, message: str, last_decided_r: int | None = None):

@@ -1,17 +1,36 @@
-"""Super line graphs, completeness testing, and the line completion oracle.
+r"""Super line graphs, completeness testing, and the line completion number.
 
 The super line graph of index ``r`` of a graph G has one vertex per
 r-element subset of G's edges; two subsets are adjacent when some edge of
 one shares an endpoint with a different edge of the other.  The line
 completion number lc(G) is the least ``r`` for which that graph is
-complete, with lc = 0 for an edgeless graph.  Completeness is monotone in
-``r``, so the brute-force oracle scans upward and stops at the first
-complete level.
+complete, with lc = 0 for an edgeless graph.
 
 Subset pairs are enumerated lexicographically by sorted edge indices, and
 overlapping pairs are included: two distinct subsets may share edges and
 still be non-adjacent.  Every search here is a pure function of immutable
 inputs.
+
+``lc_bruteforce`` takes lc from the following lemma and scans only level
+lc - 1, for the lexicographically first witness pair.
+
+Lemma.  Let G have two vertex-disjoint edges.  Then lc(G) - 1 is the
+maximum, over disjoint vertex sets X and Y that each induce at least one
+edge, of min(|E[X]|, |E[Y]|) + nu(G - X - Y), where nu is the size of a
+maximum matching.  A graph with edges but no two disjoint ones has lc = 1.
+
+(<=) Take a non-adjacent pair S != T of r-subsets and let X = V(S \ T)
+and Y = V(T \ S).  An edge of S \ T and an edge of T \ S are different
+edges, so they share no endpoint, and X and Y are disjoint.  Each shared
+edge touches no other edge of S and T, so the shared edges form a
+matching in G - X - Y.  S != T gives |S \ T| = |T \ S| >= 1, so X and Y
+each induce an edge, and r <= min(|E[X]|, |E[Y]|) + nu(G - X - Y).
+
+(>=) For any j up to the minimum and any k up to the matching size, j
+edges of E[X] plus k matching edges and j edges of E[Y] plus the same k
+matching edges are a non-adjacent pair of (j + k)-subsets.  So every
+level up to the maximum has a witness, which also proves that
+completeness is monotone in ``r``.
 
 Level scans are budgeted in subsets: a level is charged all C(E, r) of
 its subsets before it is scanned and is refused whole if that passes the
@@ -20,9 +39,10 @@ budget, so no level is ever cut short.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator
 
 from .errors import (
@@ -167,18 +187,13 @@ def _first_witness(g: Graph, r: int) -> WitnessPair | None:
     return None
 
 
-def _charge(
-    g: Graph, r: int, charged: int, budget: int, last_decided_r: int | None = None
-) -> int:
-    """Charge level r its C(E, r) subsets on top of ``charged``; refuse it past ``budget``."""
+def _charge(g: Graph, r: int, budget: int) -> None:
+    """Refuse level r when its C(E, r) subsets pass ``budget``."""
     size = math.comb(g.edge_count, r)
-    if charged + size > budget:
+    if size > budget:
         raise BudgetExceededError(
-            f"level r = {r} needs {size} subsets; {charged} of the budget of "
-            f"{budget} are already charged",
-            last_decided_r=last_decided_r,
+            f"level r = {r} needs {size} subsets, past the budget of {budget}"
         )
-    return charged + size
 
 
 def find_nonadjacent_pair(
@@ -191,31 +206,199 @@ def find_nonadjacent_pair(
     """
     if not 1 <= r <= g.edge_count:
         raise ValueError(f"subset size {r} out of range 1..{g.edge_count}")
-    _charge(g, r, 0, pair_budget)
+    _charge(g, r, pair_budget)
     return _first_witness(g, r)
 
 
-def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
-    """Least ``r`` whose super line graph is complete, by upward scan.
+#: Cap on the states one step of the lemma DP may hold.  The 5x5 grid
+#: peaks at 45,870 states (about 5 MiB).  The complete graph K_10 passes the
+#: cap at its ninth vertex with a peak RSS of about 63 MB for the whole run.
+_STATE_CAP = 2**17
 
-    Monotonicity of completeness makes the first complete level the
-    answer.  For ``r >= 2`` the result carries the witness pair found at
-    ``r - 1``.  The levels' charges add up against ``pair_budget``
-    (levels 1..E cost 2^E - 1 subsets); the level that would pass it is
-    refused with :class:`BudgetExceededError`, whose ``last_decided_r`` is
-    the level before it.
+
+def _frontier_order(neighbours: dict[int, list[int]]) -> list[int]:
+    """The vertices of ``neighbours`` in the order the lemma DP visits them.
+
+    The frontier is the set of visited vertices that still have an
+    unvisited neighbour.  Each step visits the vertex that leaves the
+    smallest frontier, then the one with the most visited neighbours, then
+    the one of least degree, then the lowest id.  Only the id reads the
+    numbering, so relabelling the vertices changes the order only among
+    vertices that tie on the rest.  A heap with stale entries skipped
+    makes this O((V + E) log V) in the vertices that have edges.
     """
-    if g.edge_count == 0:
-        return LcResult(0)
-    charged = 0
-    witness = None
-    for r in range(1, g.edge_count + 1):
-        charged = _charge(g, r, charged, pair_budget, last_decided_r=r - 1)
-        hit = _first_witness(g, r)
-        if hit is None:
-            return LcResult(r, witness)
-        witness = hit
-    raise AssertionError("the level with a single subset is always complete")
+    unvisited = {v: len(adj) for v, adj in neighbours.items()}
+    # closing[v]: visited vertices whose last unvisited neighbour is v.
+    closing = dict.fromkeys(neighbours, 0)
+    visited: set[int] = set()
+
+    def rank(v: int) -> tuple[int, int, int, int]:
+        degree = len(neighbours[v])
+        return ((unvisited[v] > 0) - closing[v], unvisited[v] - degree, degree, v)
+
+    heap = [rank(v) for v in neighbours]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[-1]
+        if v in visited or entry != rank(v):
+            continue
+        visited.add(v)
+        order.append(v)
+        changed = []
+        for u in neighbours[v]:
+            unvisited[u] -= 1
+            if u not in visited:
+                changed.append(u)
+            elif unvisited[u] == 1:
+                changed.append(next(x for x in neighbours[u] if x not in visited))
+                closing[changed[-1]] += 1
+        if unvisited[v] == 1:
+            changed.append(next(x for x in neighbours[v] if x not in visited))
+            closing[changed[-1]] += 1
+        for u in changed:
+            heapq.heappush(heap, rank(u))
+    return order
+
+
+# Frontier labels of the lemma DP, two bits per frontier position.
+_DONE, _REST, _X, _Y = range(4)
+
+
+def _lemma_lc(g: Graph) -> tuple[int, int]:
+    """lc(g) by a frontier DP over the lemma, and the DP's peak state count.
+
+    The vertices that have edges are visited in :func:`_frontier_order`.
+    Each frontier vertex is labelled X, Y, rest that may still be matched
+    to a later neighbour, or rest that is done (matched already).  An edge
+    joins E[X], E[Y] or the matching when its later endpoint is visited.
+    A state is (labels, flag, d): d = |E[X]| - |E[Y]|, the flag records
+    that E[X] is nonempty, and the state's value is the best |E[Y]| plus
+    matched edges, so min(|E[X]|, |E[Y]|) + matched is value + min(d, 0).
+
+    E[Y] needs no flag: with E[Y] empty the objective is nu(G - X - Y),
+    at most nu(G) - 1 once X induces an edge.  The lemma's maximum reaches
+    nu(G) - 1 when nu(G) >= 2, with X and Y two edges of a maximum
+    matching, and is 0 otherwise, so such states never raise the answer.
+
+    Of two states with equal labels and flag, (d1, v1) never does worse
+    than (d2, v2) when v1 >= v2 and v1 + d1 >= v2 + d2, so only the states
+    that no other beats this way are kept.  A step that holds more than
+    ``_STATE_CAP`` states raises :class:`CapacityError`; the peak counted
+    is of the same states.
+    """
+    if not g.edges:
+        return 0, 0
+    neighbours: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    unvisited = {v: len(adj) for v, adj in neighbours.items()}
+    frontier: list[int] = []
+    states: dict[int, list[tuple[int, int, int]]] = {0: [(0, 0, 0)]}  # labels -> [(flag, d, value)]
+    peak = 0
+    order = _frontier_order(neighbours)
+    for step, v in enumerate(order, 1):
+        slot = {u: p for p, u in enumerate(frontier)}
+        earlier = [slot[u] for u in neighbours[v] if u in slot]
+        for u in neighbours[v]:
+            unvisited[u] -= 1
+        leaving = sorted((p for p in earlier if unvisited[frontier[p]] == 0), reverse=True)
+        frontier = [u for u in frontier if unvisited[u]]
+        # v's own label goes to the next free position, or nowhere when v
+        # has no unvisited neighbour left.
+        shift = 2 * len(frontier) if unvisited[v] else None
+
+        def drop_leaving(labels: int) -> int:
+            for p in leaving:
+                labels = labels & ((1 << 2 * p) - 1) | labels >> 2 * p + 2 << 2 * p
+            return labels
+
+        def own(label: int) -> int:
+            return 0 if shift is None else label << shift
+
+        new: dict[int, dict[int, int]] = {}  # labels and flag -> {d: value}
+        held = 0
+        for labels, entries in states.items():
+            nx = ny = 0
+            rest = []
+            for p in earlier:
+                label = labels >> 2 * p & 3
+                if label == _X:
+                    nx += 1
+                elif label == _Y:
+                    ny += 1
+                elif label == _REST:
+                    rest.append(p)
+            kept = drop_leaving(labels)
+            # (labels, flag set, change in d, change in value)
+            moves = [
+                (kept | own(_X), nx > 0, nx, 0),
+                (kept | own(_Y), 0, -ny, ny),
+                (kept | own(_REST), 0, 0, 0),
+            ]
+            moves.extend((drop_leaving(labels & ~(3 << 2 * p)), 0, 0, 1) for p in rest)
+            for target, set_flag, step_d, step_value in moves:
+                target = target << 1 | set_flag
+                for flag, d, value in entries:
+                    key = target | flag
+                    d += step_d
+                    value += step_value
+                    best = new.get(key)
+                    if best is None:
+                        new[key] = {d: value}
+                        held += 1
+                    elif d not in best:
+                        best[d] = value
+                        held += 1
+                    elif best[d] < value:
+                        best[d] = value
+            if held > _STATE_CAP:
+                raise CapacityError(
+                    f"the lc dynamic program needs more than {_STATE_CAP} states "
+                    f"at vertex {step} of {len(order)}"
+                )
+        peak = max(peak, held)
+        if shift is not None:
+            frontier.append(v)
+        states = defaultdict(list)
+        for key, best in new.items():
+            kept, flag = states[key >> 1], key & 1
+            if len(best) == 1:
+                (d, value), = best.items()
+                kept.append((flag, d, value))
+                continue
+            top = None
+            for value, d in sorted(zip(best.values(), best), reverse=True):
+                if top is None or value + d > top:
+                    top = value + d
+                    kept.append((flag, d, value))
+    # Any edge can be X, so some final state has the flag.
+    return max(value + min(d, 0) for flag, d, value in states[0] if flag) + 1, peak
+
+
+def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
+    """Least ``r`` whose super line graph is complete, with a witness at ``r - 1``.
+
+    ``r`` comes from the lemma in the module docstring, decided by
+    :func:`_lemma_lc`; a DP that passes its state cap raises
+    :class:`CapacityError`.  For ``r >= 2`` level ``r - 1`` is then
+    scanned, the only level that is, for its lexicographically first
+    witness pair.  That level is charged its C(E, r - 1) subsets and
+    refused whole past ``pair_budget`` with :class:`BudgetExceededError`,
+    whose ``last_decided_r`` is ``None``: no value is reported without
+    its witness.  A scan that finds no witness contradicts the lemma DP,
+    a bug in one of the two, and raises ``AssertionError``.
+    """
+    r, _ = _lemma_lc(g)
+    if r <= 1:
+        return LcResult(r)
+    _charge(g, r - 1, pair_budget)
+    witness = _first_witness(g, r - 1)
+    if witness is None:
+        raise AssertionError(f"the lemma gives lc = {r}, but level {r - 1} has no witness pair")
+    return LcResult(r, witness)
 
 
 def super_line_graph(

@@ -1,17 +1,21 @@
 """Slow reference implementations and shared test data.
 
-Everything here works directly on endpoint pairs with explicit double
-loops, independent of the bitmask machinery under test.
+Everything here except ``lc_upward_scan`` works directly on endpoint
+pairs with explicit loops, independent of the bitmask machinery under
+test.  ``lc_upward_scan`` is the bitmask level scan run at every level,
+the way ``lc_bruteforce`` decided lc before the lemma DP; it is the
+reference the DP is checked against where the scan is fast enough.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import hypothesis.strategies as st
 
-from gridlc import Graph
+from gridlc import Graph, LcResult
+from gridlc.superline import _first_witness
 
 
 def share_endpoint(edge_a: tuple[int, int], edge_b: tuple[int, int]) -> bool:
@@ -63,6 +67,52 @@ def lc_naive(graph: Graph) -> int:
         if is_complete_naive(graph, r):
             return r
     raise AssertionError("unreachable: a single subset is vacuously complete")
+
+
+def lc_upward_scan(graph: Graph) -> LcResult:
+    """lc as the first complete level, scanning levels 1, 2, ... in turn."""
+    if graph.edge_count == 0:
+        return LcResult(0)
+    witness = None
+    for r in range(1, graph.edge_count + 1):
+        hit = _first_witness(graph, r)
+        if hit is None:
+            return LcResult(r, witness)
+        witness = hit
+    raise AssertionError("unreachable: a single subset is vacuously complete")
+
+
+def matching_number_naive(edges: list[tuple[int, int]]) -> int:
+    """Size of a maximum matching, trying the first edge both in and out."""
+    if not edges:
+        return 0
+    (u, v), rest = edges[0], edges[1:]
+    return max(
+        matching_number_naive(rest),
+        1 + matching_number_naive([e for e in rest if u not in e and v not in e]),
+    )
+
+
+def lc_lemma_naive(graph: Graph) -> int:
+    """lc from the lemma, trying all 3^V splits of the vertices into X, Y and rest.
+
+    lc - 1 is the best min(|E[X]|, |E[Y]|) + nu(G - X - Y) over splits
+    where X and Y each induce an edge; with no such split lc is 1.
+    """
+    if graph.edge_count == 0:
+        return 0
+    best = 0
+    for sides in product("XYR", repeat=graph.vertex_count):
+        within = {"X": [], "Y": [], "R": []}
+        for u, v in graph.edges:
+            if sides[u] == sides[v]:
+                within[sides[u]].append((u, v))
+        if within["X"] and within["Y"]:
+            best = max(
+                best,
+                min(len(within["X"]), len(within["Y"])) + matching_number_naive(within["R"]),
+            )
+    return best + 1
 
 
 def grids_with_at_most(max_edges: int) -> list[tuple[int, int]]:

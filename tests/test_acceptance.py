@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
-Criterion 4 cross-checks the closed form against the exhaustive oracle on
-every grid with <= 19 edges and asserts that the set of disagreements is
-exactly the documented 3x3 defect: exhaustive enumeration, confirmed by an
+Criterion 4 cross-checks the closed form against ``lc_bruteforce`` on
+every grid with <= 19 edges, and against the lemma DP alone on every grid
+of width 1..4 and length 1..12, and asserts that in both sweeps the set of
+disagreements is exactly the documented 3x3 defect: exhaustive enumeration, confirmed by an
 independent endpoint-level double loop, shows lc(3x3 grid) = 5 while the
 closed form gives 4.  The vertex set of the 3x3 grid splits into a
 boundary L of 5 cells (inducing a 4-edge path) and the opposite 2x2 block
@@ -30,6 +31,7 @@ from gridlc import (
     super_line_graph,
     verify_slicing,
 )
+from gridlc.superline import _lemma_lc
 from support import (
     grids_with_at_most,
     is_complete_naive,
@@ -87,6 +89,12 @@ def test_criterion_4_oracle_matches_formula_on_small_grids():
         formula = lc_grid_formula(cols, rows)[0]
         if formula != oracle.r:
             disagreements[cols, rows] = (formula, oracle.r)
+    dp_disagreements = {}
+    for cols in range(1, 5):
+        for rows in range(1, 13):
+            formula, dp = lc_grid_formula(cols, rows)[0], _lemma_lc(grid(GridSpec(cols, rows)))[0]
+            if formula != dp:
+                dp_disagreements[cols, rows] = (formula, dp)
     elapsed = time.time() - started
 
     # Endpoint-level evidence that the oracle, not the closed form, is right
@@ -102,16 +110,21 @@ def test_criterion_4_oracle_matches_formula_on_small_grids():
         and is_complete_naive(g, oracle_3x3)
     )
 
-    detail = f"{elapsed:.1f}s; {len(specs)} grids; " + (
-        "all agree" if not disagreements
-        else "formula vs oracle disagree on " + ", ".join(
-            f"{c}x{r}: {f} vs {o}" for (c, r), (f, o) in sorted(disagreements.items())
+    def listed(found):
+        return "all agree" if not found else "disagree on " + ", ".join(
+            f"{c}x{r}: {f} vs {o}" for (c, r), (f, o) in sorted(found.items())
         )
+
+    detail = (
+        f"{elapsed:.1f}s; {len(specs)} grids, formula vs oracle: {listed(disagreements)}; "
+        f"48 grids of width <= 4 and length <= 12, formula vs DP: {listed(dp_disagreements)}"
     ) + ("; 3x3 confirmed by the endpoint-level oracle" if confirmed
          else "; 3x3 NOT confirmed by the endpoint-level oracle")
-    report(4, "oracle equals closed form on every grid with <= 19 edges, "
-              "except the documented 3x3 defect",
-           disagreements == KNOWN_FORMULA_DEFECTS and confirmed and elapsed <= 60,
+    report(4, "oracle equals closed form on every grid with <= 19 edges, and the "
+              "lemma DP on every grid of width <= 4 and length <= 12, except the "
+              "documented 3x3 defect",
+           disagreements == KNOWN_FORMULA_DEFECTS == dp_disagreements
+           and confirmed and elapsed <= 60,
            detail)
 
 

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlc import (
+    Graph,
     GridSpec,
     best_slicing,
     format_edge_list,
@@ -114,8 +116,47 @@ class TestLcBrute:
         assert code == 3
         assert out == ""
         assert err == (
-            "error: level r = 7 needs 18643560 subsets; 4598478 of the budget "
-            "of 16777216 are already charged\n"
+            "error: level r = 16 needs 62852101650 subsets, past the budget of 16777216\n"
+        )
+
+    def test_state_cap_exit_3_under_a_memory_bound(self, tmp_path):
+        # K_10 passes the lc DP's state cap at its ninth vertex.  A fresh
+        # interpreter reports its own peak RSS (KiB on Linux), so the bound
+        # covers the whole run; tracemalloc would slow it 30-fold.
+        source = tmp_path / "k10.edges"
+        write_edge_list(Graph.from_edges(10, combinations(range(10), 2)), source)
+        script = (
+            "import resource, sys\n"
+            "from gridlc.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "lc-brute", "--input", str(source)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        error, peak_kib = done.stderr.splitlines()
+        assert error == (
+            "error: the lc dynamic program needs more than 131072 states at vertex 9 of 10"
+        )
+        assert int(peak_kib) < 128 * 1024
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        # A level lc - 1 without a witness means the lemma DP and the scan
+        # disagree: a bug, reported as such and never as an answer.
+        import gridlc.superline
+
+        monkeypatch.setattr(gridlc.superline, "_first_witness", lambda g, r: None)
+        code, out, err = run(capsys, "lc-brute", "--grid", "3", "3")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "internal error: AssertionError: the lemma gives lc = 5, "
+            "but level 4 has no witness pair\n"
         )
 
     def test_missing_input_exit_2(self, capsys):
@@ -327,6 +368,21 @@ class TestSliceAndVerify:
         assert done.stderr.startswith("error: malformed slicing document: ")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    def test_reader_closing_stdout_early_keeps_exit_0(self):
+        # As in `gridlc slice --cols 100 --rows 100 | head -c 10`: the
+        # document (about 200 kB) outgrows the pipe, so the write fails.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "gridlc.cli", "slice", "--cols", "100", "--rows", "100"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert process.stdout.read(10) == b'{\n  "spec"'
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 0
+        assert err == b""
 
     def test_slice_infeasible_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "slice", "--cols", "1", "--rows", "5", "--axis", "vertical")

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 
@@ -19,11 +20,14 @@ from gridlc import (
     sets_adjacent,
     super_line_graph,
 )
+from gridlc.superline import _lemma_lc
 from support import (
     find_pair_naive,
     graphs,
     grids_with_at_most,
+    lc_lemma_naive,
     lc_naive,
+    lc_upward_scan,
     line_graph_naive,
     random_simple_graphs,
     share_endpoint,
@@ -252,31 +256,33 @@ class TestLcBruteforce:
         assert lc_bruteforce(grid(GridSpec(2, 3))).r == 3
 
     def test_budget_error_carries_last_decided_level(self):
+        # The DP decides lc = 5 before any scan, but no value is reported
+        # without its witness, so a refused scan decides no level.
         with pytest.raises(BudgetExceededError) as info:
             lc_bruteforce(grid(GridSpec(3, 3)), pair_budget=10)
-        assert info.value.last_decided_r == 0
+        assert info.value.last_decided_r is None
 
     def test_budget_is_the_sum_of_the_scanned_levels(self):
-        # lc(3x3) = 5, so the scan decides levels 1..5 of its 12 edges.
+        # lc(3x3) = 5, and level 4 of its 12 edges is the only one scanned.
         g = grid(GridSpec(3, 3))
-        needed = sum(math.comb(12, r) for r in range(1, 6))
-        assert needed == 1585
-        assert lc_bruteforce(g, pair_budget=needed).r == 5
+        assert math.comb(12, 4) == 495
+        assert lc_bruteforce(g, pair_budget=495).r == 5
         with pytest.raises(BudgetExceededError) as info:
-            lc_bruteforce(g, pair_budget=needed - 1)
-        assert info.value.last_decided_r == 4
+            lc_bruteforce(g, pair_budget=494)
+        assert info.value.last_decided_r is None
+        assert str(info.value) == "level r = 4 needs 495 subsets, past the budget of 494"
 
-    def test_default_budget_refuses_5x5_before_scanning_level_7(self):
-        # Levels 1..6 of the 40 edges cost 4,598,478 subsets and level 7
-        # alone costs C(40, 7) = 18,643,560, past 2^24 = 16,777,216.
+    def test_default_budget_refuses_5x5_at_level_16(self):
+        # The DP decides lc = 17 first (about 0.5 s of CPU, so the bound is
+        # no longer the 0.1 s of an up-front refusal); then level 16 alone
+        # costs C(40, 16) = 62,852,101,650 subsets, past 2^24 = 16,777,216.
         started = time.process_time()
         with pytest.raises(BudgetExceededError) as info:
             lc_bruteforce(grid(GridSpec(5, 5)))
-        assert time.process_time() - started < 0.1
-        assert info.value.last_decided_r == 6
+        assert time.process_time() - started < 5
+        assert info.value.last_decided_r is None
         assert str(info.value) == (
-            "level r = 7 needs 18643560 subsets; 4598478 of the budget of "
-            "16777216 are already charged"
+            "level r = 16 needs 62852101650 subsets, past the budget of 16777216"
         )
 
     @pytest.mark.parametrize(
@@ -307,6 +313,73 @@ class TestLcBruteforce:
         assert witness.S.indices() == (0, 1, 6, 9)
         assert witness.T.indices() == (3, 5, 10, 11)
         assert not subsets_adjacent_naive(g, witness.S.indices(), witness.T.indices())
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """An isomorphic copy with permuted vertex labels; edge i maps to edge i."""
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestLemmaDP:
+    """``lc_bruteforce`` takes lc from the lemma DP and scans level lc - 1 alone."""
+
+    @pytest.mark.parametrize(
+        "cols, rows", grids_with_at_most(20), ids=lambda value: str(value)
+    )
+    def test_equals_upward_scan_on_grids(self, cols, rows):
+        g = grid(GridSpec(cols, rows))
+        assert lc_bruteforce(g) == lc_upward_scan(g)
+
+    def test_equals_upward_scan_on_random_graphs(self):
+        for g in random_simple_graphs(400, max_edges=12):
+            assert lc_bruteforce(g) == lc_upward_scan(g), g
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_vertices=7, max_edges=21))
+    def test_equals_lemma_brute_force(self, g):
+        assert _lemma_lc(g)[0] == lc_lemma_naive(g)
+
+    @pytest.mark.parametrize("cols, rows", [(3, 3), (2, 6), (3, 4), (4, 4)])
+    def test_relabelled_grids_give_the_same_answer(self, cols, rows):
+        g = grid(GridSpec(cols, rows))
+        expected = lc_bruteforce(g)
+        for seed in range(1, 4):
+            result = lc_bruteforce(relabelled(g, seed))
+            assert result.r == expected.r
+            witness = result.witness_at_r_minus_1
+            assert (witness.S.indices(), witness.T.indices()) == (
+                expected.witness_at_r_minus_1.S.indices(),
+                expected.witness_at_r_minus_1.T.indices(),
+            )
+
+    def test_peak_states_do_not_depend_on_the_numbering(self):
+        # The visiting order comes from the graph: in vertex-id order each
+        # relabelled copy here passes the cap of 2^17 states.
+        g = grid(GridSpec(4, 4))
+        peaks = {_lemma_lc(relabelled(g, seed) if seed else g)[1] for seed in range(4)}
+        assert len(peaks) == 1
+        assert peaks.pop() < 10_000
+
+    def test_scans_only_level_lc_minus_one(self, monkeypatch):
+        import gridlc.superline as superline
+
+        scanned = []
+        scan = superline._first_witness
+        monkeypatch.setattr(
+            superline, "_first_witness", lambda g, r: scanned.append(r) or scan(g, r)
+        )
+        assert lc_bruteforce(grid(GridSpec(4, 4))).r == 11
+        assert scanned == [10]
+
+    def test_matching_of_many_edges_is_decided(self):
+        # 200 disjoint edges: lc - 1 = 199, so level 199 holds C(200, 199)
+        # = 200 subsets, where the upward scan would be refused at level 4.
+        g = Graph.from_edges(400, [(2 * i, 2 * i + 1) for i in range(200)])
+        result = lc_bruteforce(g)
+        assert result.r == 200
+        assert result.witness_at_r_minus_1.S.indices() == tuple(range(199))
 
 
 class TestMaxNonadjacentR:
