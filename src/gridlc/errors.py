@@ -21,10 +21,4 @@ class BudgetExceededError(RuntimeError):
 
     Deliberately distinct from "no witness exists": when this is raised,
     nothing may be concluded about completeness at the refused level.
-    ``last_decided_r`` is ``None`` from every gridlc scan: ``lc_bruteforce``
-    scans only level lc - 1 and reports no value without its witness.
     """
-
-    def __init__(self, message: str, last_decided_r: int | None = None):
-        super().__init__(message)
-        self.last_decided_r = last_decided_r

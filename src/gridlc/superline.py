@@ -39,7 +39,7 @@ budget, so no level is ever cut short.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import math
 from collections import defaultdict, namedtuple
@@ -216,52 +216,6 @@ def find_nonadjacent_pair(
 _STATE_CAP = 2**17
 
 
-def _frontier_order(neighbours: dict[int, list[int]]) -> list[int]:
-    """The vertices of ``neighbours`` in the order the lemma DP visits them.
-
-    The frontier is the set of visited vertices that still have an
-    unvisited neighbour.  Each step visits the vertex that leaves the
-    smallest frontier, then the one with the most visited neighbours, then
-    the one of least degree, then the lowest id.  Only the id reads the
-    numbering, so relabelling the vertices changes the order only among
-    vertices that tie on the rest.  A heap with stale entries skipped
-    makes this O((V + E) log V) in the vertices that have edges.
-    """
-    unvisited = {v: len(adj) for v, adj in neighbours.items()}
-    # closing[v]: visited vertices whose last unvisited neighbour is v.
-    closing = dict.fromkeys(neighbours, 0)
-    visited: set[int] = set()
-
-    def rank(v: int) -> tuple[int, int, int, int]:
-        degree = len(neighbours[v])
-        return ((unvisited[v] > 0) - closing[v], unvisited[v] - degree, degree, v)
-
-    heap = [rank(v) for v in neighbours]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        entry = heapq.heappop(heap)
-        v = entry[-1]
-        if v in visited or entry != rank(v):
-            continue
-        visited.add(v)
-        order.append(v)
-        changed = []
-        for u in neighbours[v]:
-            unvisited[u] -= 1
-            if u not in visited:
-                changed.append(u)
-            elif unvisited[u] == 1:
-                changed.append(next(x for x in neighbours[u] if x not in visited))
-                closing[changed[-1]] += 1
-        if unvisited[v] == 1:
-            changed.append(next(x for x in neighbours[v] if x not in visited))
-            closing[changed[-1]] += 1
-        for u in changed:
-            heapq.heappush(heap, rank(u))
-    return order
-
-
 # Frontier labels of the lemma DP, two bits per frontier position.
 _DONE, _REST, _X, _Y = range(4)
 
@@ -269,7 +223,15 @@ _DONE, _REST, _X, _Y = range(4)
 def _lemma_lc(g: Graph) -> tuple[int, int]:
     """lc(g) by a frontier DP over the lemma, and the DP's peak state count.
 
-    The vertices that have edges are visited in :func:`_frontier_order`.
+    The vertices that have edges are visited one at a time.  The frontier
+    is the set of visited vertices that still have an unvisited neighbour.
+    Each step visits the vertex that leaves the smallest frontier, then the
+    one with the most visited neighbours, then the one of least degree,
+    then the lowest id.  A neighbour of the frontier always wins, so only
+    those are ranked while the frontier is nonempty.  Only the id reads the
+    numbering, so relabelling the vertices changes the order only among
+    vertices that tie on the rest.
+
     Each frontier vertex is labelled X, Y, rest that may still be matched
     to a later neighbour, or rest that is done (matched already).  An edge
     joins E[X], E[Y] or the matching when its later endpoint is visited.
@@ -295,11 +257,25 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         neighbours[u].append(v)
         neighbours[v].append(u)
     unvisited = {v: len(adj) for v, adj in neighbours.items()}
+    visited: set[int] = set()
+    # With no visited neighbour, a vertex ranks by its degree, then its id.
+    fresh = iter(sorted(neighbours, key=lambda v: (len(neighbours[v]), v)))
+
+    def rank(v: int) -> tuple[int, int, int, int]:
+        degree = len(neighbours[v])
+        # The visited neighbours that leave the frontier with v.
+        closing = sum(unvisited[u] == 1 for u in neighbours[v] if u in visited)
+        return ((unvisited[v] > 0) - closing, unvisited[v] - degree, degree, v)
+
     frontier: list[int] = []
-    states: dict[int, list[tuple[int, int, int]]] = {0: [(0, 0, 0)]}  # labels -> [(flag, d, value)]
+    states = {0: {0: 0}}  # labels << 1 | flag -> {d: value}
     peak = 0
-    order = _frontier_order(neighbours)
-    for step, v in enumerate(order, 1):
+    for step in range(1, len(neighbours) + 1):
+        if frontier:
+            v = min({u for w in frontier for u in neighbours[w] if u not in visited}, key=rank)
+        else:
+            v = next(u for u in fresh if u not in visited)
+        visited.add(v)
         slot = {u: p for p, u in enumerate(frontier)}
         earlier = [slot[u] for u in neighbours[v] if u in slot]
         for u in neighbours[v]:
@@ -308,19 +284,17 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         frontier = [u for u in frontier if unvisited[u]]
         # v's own label goes to the next free position, or nowhere when v
         # has no unvisited neighbour left.
-        shift = 2 * len(frontier) if unvisited[v] else None
+        place = (unvisited[v] > 0) << 2 * len(frontier)
 
         def drop_leaving(labels: int) -> int:
             for p in leaving:
                 labels = labels & ((1 << 2 * p) - 1) | labels >> 2 * p + 2 << 2 * p
             return labels
 
-        def own(label: int) -> int:
-            return 0 if shift is None else label << shift
-
-        new: dict[int, dict[int, int]] = {}  # labels and flag -> {d: value}
-        held = 0
-        for labels, entries in states.items():
+        # The states of both flags share the moves of their labels.
+        @functools.cache
+        def moves(labels: int) -> list[tuple[int, int, int, int]]:
+            """(labels, flag set, change in d, change in value) of each move."""
             nx = ny = 0
             rest = []
             for p in earlier:
@@ -332,24 +306,22 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                 elif label == _REST:
                     rest.append(p)
             kept = drop_leaving(labels)
-            # (labels, flag set, change in d, change in value)
-            moves = [
-                (kept | own(_X), nx > 0, nx, 0),
-                (kept | own(_Y), 0, -ny, ny),
-                (kept | own(_REST), 0, 0, 0),
-            ]
-            moves.extend((drop_leaving(labels & ~(3 << 2 * p)), 0, 0, 1) for p in rest)
-            for target, set_flag, step_d, step_value in moves:
-                target = target << 1 | set_flag
-                for flag, d, value in entries:
-                    key = target | flag
+            return [
+                (kept | _X * place, nx > 0, nx, 0),
+                (kept | _Y * place, 0, -ny, ny),
+                (kept | _REST * place, 0, 0, 0),
+            ] + [(drop_leaving(labels & ~(3 << 2 * p)), 0, 0, 1) for p in rest]
+
+        new: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        held = 0
+        for key, pairs in states.items():
+            flag = key & 1
+            for target, set_flag, step_d, step_value in moves(key >> 1):
+                best = new[target << 1 | flag | set_flag]
+                for d, value in pairs.items():
                     d += step_d
                     value += step_value
-                    best = new.get(key)
-                    if best is None:
-                        new[key] = {d: value}
-                        held += 1
-                    elif d not in best:
+                    if d not in best:
                         best[d] = value
                         held += 1
                     elif best[d] < value:
@@ -357,25 +329,21 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
             if held > _STATE_CAP:
                 raise CapacityError(
                     f"the lc dynamic program needs more than {_STATE_CAP} states "
-                    f"at vertex {step} of {len(order)}"
+                    f"at vertex {step} of {len(neighbours)}"
                 )
         peak = max(peak, held)
-        if shift is not None:
+        if place:
             frontier.append(v)
-        states = defaultdict(list)
+        states = {}
         for key, best in new.items():
-            kept, flag = states[key >> 1], key & 1
-            if len(best) == 1:
-                (d, value), = best.items()
-                kept.append((flag, d, value))
-                continue
-            top = None
+            pairs = states[key] = {}
+            top = -math.inf
             for value, d in sorted(zip(best.values(), best), reverse=True):
-                if top is None or value + d > top:
+                if value + d > top:
                     top = value + d
-                    kept.append((flag, d, value))
+                    pairs[d] = value
     # Any edge can be X, so some final state has the flag.
-    return max(value + min(d, 0) for flag, d, value in states[0] if flag) + 1, peak
+    return max(value + min(d, 0) for d, value in states[1].items()) + 1, peak
 
 
 def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
@@ -386,10 +354,10 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
     :class:`CapacityError`.  For ``r >= 2`` level ``r - 1`` is then
     scanned, the only level that is, for its lexicographically first
     witness pair.  That level is charged its C(E, r - 1) subsets and
-    refused whole past ``pair_budget`` with :class:`BudgetExceededError`,
-    whose ``last_decided_r`` is ``None``: no value is reported without
-    its witness.  A scan that finds no witness contradicts the lemma DP,
-    a bug in one of the two, and raises ``AssertionError``.
+    refused whole past ``pair_budget`` with :class:`BudgetExceededError`:
+    no value is reported without its witness.  A scan that finds no
+    witness contradicts the lemma DP, a bug in one of the two, and raises
+    ``AssertionError``.
     """
     r, _ = _lemma_lc(g)
     if r <= 1:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -118,6 +119,17 @@ class TestLcBrute:
         assert err == (
             "error: level r = 16 needs 62852101650 subsets, past the budget of 16777216\n"
         )
+
+    def test_largest_grid_refused_on_the_state_cap(self, capsys):
+        # 181x181 is the largest grid admitted; the DP passes its state cap
+        # after 19 vertices, before any budget is charged.
+        started = time.process_time()
+        code, out, err = run(capsys, "lc-brute", "--grid", "181", "181")
+        assert time.process_time() - started < 5
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "error: the lc dynamic program needs more than 131072 states at vertex 19 of 32761"
+        ]
 
     def test_state_cap_exit_3_under_a_memory_bound(self, tmp_path):
         # K_10 passes the lc DP's state cap at its ninth vertex.  A fresh
@@ -564,6 +576,7 @@ FROZEN = [
         '  "witness": null\n}\n', {},
     ),
     (["lc-brute", "--grid", "3", "3", "--pair-budget", "5"], 3, "", {}),
+    (["lc-brute", "--grid", "181", "181"], 3, "", {}),
     (
         ["superline", "--index", "2", "--input", "p5.edges", "--out", "l2.edges"], 0,
         "wrote index-2 super line graph: 6 vertices, 15 edges -> l2.edges "
@@ -668,8 +681,10 @@ def test_frozen_stdout(
     (tmp_path / "tampered.json").write_text(json.dumps(data))
     inputs = set(os.listdir(tmp_path))
 
-    code, out, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == expected_code
+    if code == 3:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if expected_out.startswith("sha256:"):
         assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected_out
     else:
