@@ -164,26 +164,41 @@ def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
 def _first_witness(g: Graph, r: int) -> WitnessPair | None:
     """Lexicographically first non-adjacent pair of r-subsets, or ``None``.
 
-    ``None`` means the level is complete.  Subsets stream in lexicographic
-    order, so memory stays O(E), and the scan stops at the first subset S
-    that has a partner.  Each S is decided in one step: with F the
-    complement of S's adjacency cover, a partner is an r-subset of F other
-    than S, so one exists iff ``|F| - [S inside F] >= r``.  The partner is
-    then built, not searched for.
+    ``None`` means the level is complete.  With F the complement of an
+    r-subset S's adjacency cover, S has a partner, an r-subset of F other
+    than S, iff ``|F| - [S inside F] >= r``.  An iterative depth-first walk
+    over prefixes in lexicographic order stops at the first such S; covers
+    only grow, so a prefix P with ``|F_P| < r`` is skipped with its subtree.
     """
     full = g.full_edge_mask()
-    for indices, bits, cover in _subsets(g, r):
-        avail = full & ~cover
-        # S lies inside F exactly when no member edge is in S's own cover.
-        if avail.bit_count() - (bits & cover == 0) < r:
+    adjacency = g.edge_adjacency
+    last = g.edge_count - r
+    # Depth k: the next edge to try after a k-edge prefix, its bits, its cover.
+    after, bits, cover = [0] * r, [0] * r, [0] * r
+    k = 0
+    while k >= 0:
+        e = after[k]
+        if e > last + k:
+            k -= 1
             continue
-        # S is the first subset with any partner, so all its partners come
-        # after it: a partner before it would itself have been an earlier
-        # hit.  The first r-subset of F is therefore S or S's first
-        # partner, and at most two candidates are looked at.
+        after[k] = e + 1
+        b = bits[k] | 1 << e
+        c = cover[k] | adjacency[e]
+        avail = full & ~c
+        # At a leaf, S lies inside F iff no member edge is in S's own cover.
+        if avail.bit_count() - (k + 1 == r and b & c == 0) < r:
+            continue
+        if k + 1 < r:
+            k += 1
+            after[k], bits[k], cover[k] = e + 1, b, c
+            continue
+        # Every partner of this first hit S comes after S, or it would have
+        # been an earlier hit, so the partner is built, not searched for:
+        # the first r-subset of F is S or the first partner.
+        indices = EdgeSet(g, b).indices()
         free = EdgeSet(g, avail).indices()
         partner = next(t for t in itertools.combinations(free, r) if t != indices)
-        return WitnessPair(EdgeSet(g, bits), EdgeSet.from_indices(g, partner), r)
+        return WitnessPair(EdgeSet(g, b), EdgeSet.from_indices(g, partner), r)
     return None
 
 

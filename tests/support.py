@@ -1,8 +1,12 @@
 """Slow reference implementations and shared test data.
 
-Everything here except ``lc_upward_scan`` works directly on endpoint
-pairs with explicit loops, independent of the bitmask machinery under
-test.  ``lc_upward_scan`` is the bitmask level scan run at every level,
+Everything here except ``first_witness_scan`` and ``lc_upward_scan``
+works directly on endpoint pairs with explicit loops, independent of the
+bitmask machinery under test.  ``first_witness_scan`` enumerates every
+r-subset in lexicographic order and applies the popcount test to each, the
+way ``find_nonadjacent_pair`` scanned a level before its pruned walk; it
+uses the graph's adjacency masks but no code from ``gridlc.superline``
+beyond the public record types.  ``lc_upward_scan`` runs it at every level,
 the way ``lc_bruteforce`` decided lc before the lemma DP; it is the
 reference the DP is checked against where the scan is fast enough.
 """
@@ -14,8 +18,7 @@ from itertools import combinations, product
 
 import hypothesis.strategies as st
 
-from gridlc import Graph, LcResult
-from gridlc.superline import _first_witness
+from gridlc import EdgeSet, Graph, LcResult, WitnessPair
 
 
 def share_endpoint(edge_a: tuple[int, int], edge_b: tuple[int, int]) -> bool:
@@ -69,13 +72,35 @@ def lc_naive(graph: Graph) -> int:
     raise AssertionError("unreachable: a single subset is vacuously complete")
 
 
+def first_witness_scan(graph: Graph, r: int) -> WitnessPair | None:
+    """Lexicographically first non-adjacent pair of r-subsets, or None.
+
+    Every r-subset S is tested in turn: with F the complement of S's
+    adjacency cover, S has a partner iff |F| - [S inside F] >= r, and the
+    partner of the first such S is the first r-subset of F other than S.
+    """
+    full = (1 << graph.edge_count) - 1
+    adjacency = graph.edge_adjacency
+    for indices in combinations(range(graph.edge_count), r):
+        bits = cover = 0
+        for e in indices:
+            bits |= 1 << e
+            cover |= adjacency[e]
+        free = full & ~cover
+        if free.bit_count() - (bits & cover == 0) >= r:
+            spare = [e for e in range(graph.edge_count) if free >> e & 1]
+            partner = next(t for t in combinations(spare, r) if t != indices)
+            return WitnessPair(EdgeSet(graph, bits), EdgeSet.from_indices(graph, partner), r)
+    return None
+
+
 def lc_upward_scan(graph: Graph) -> LcResult:
     """lc as the first complete level, scanning levels 1, 2, ... in turn."""
     if graph.edge_count == 0:
         return LcResult(0)
     witness = None
     for r in range(1, graph.edge_count + 1):
-        hit = _first_witness(graph, r)
+        hit = first_witness_scan(graph, r)
         if hit is None:
             return LcResult(r, witness)
         witness = hit

@@ -578,6 +578,13 @@ FROZEN = [
     (["lc-brute", "--grid", "3", "3", "--pair-budget", "5"], 3, "", {}),
     (["lc-brute", "--grid", "181", "181"], 3, "", {}),
     (
+        ["lc-brute", "--grid", "4", "6", "--pair-budget", "28781143380"], 0,
+        "lc = 18 (brute-force)\nwitness at r = 17: "
+        "S = {e0, e1, e2, e3, e4, e5, e6, e7, e8, e18, e19, e20, e21, e22, e23, e24, e25}, "
+        "T = {e9, e10, e11, e12, e13, e14, e15, e16, e17, e30, e31, e32, e33, e34, e35, e36, "
+        "e37}\n", {},
+    ),
+    (
         ["superline", "--index", "2", "--input", "p5.edges", "--out", "l2.edges"], 0,
         "wrote index-2 super line graph: 6 vertices, 15 edges -> l2.edges "
         "(labels -> l2.edges.labels)\n",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlc import (
+    DEFAULT_PAIR_BUDGET,
     BudgetExceededError,
     CapacityError,
     EdgeSet,
@@ -23,6 +24,7 @@ from gridlc import (
 from gridlc.superline import _lemma_lc
 from support import (
     find_pair_naive,
+    first_witness_scan,
     graphs,
     grids_with_at_most,
     lc_lemma_naive,
@@ -190,8 +192,8 @@ class TestFindNonadjacentPair:
             assert (actual.S.indices(), actual.T.indices()) == expected
 
     def test_complete_level_is_not_materialised(self):
-        # 3x4 at r = 8 is complete, so every one of its C(17, 8) = 24,310
-        # subsets is visited; holding them all would take megabytes.
+        # 3x4 at r = 8 is complete, so the walk must rule out every one of
+        # its C(17, 8) = 24,310 subsets; holding them would take megabytes.
         g = grid(GridSpec(3, 4))
         tracemalloc.start()
         try:
@@ -217,6 +219,74 @@ class TestFindNonadjacentPair:
             assert actual is None
         else:
             assert (actual.S.indices(), actual.T.indices()) == expected
+
+
+class CountingMasks(tuple):
+    """Edge-adjacency masks that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestPrunedWalk:
+    """The walk over prefixes finds the same pair as a scan of every subset."""
+
+    @pytest.mark.parametrize(
+        "cols, rows", grids_with_at_most(20), ids=lambda value: str(value)
+    )
+    def test_equals_scan_at_every_level_of_grids(self, cols, rows):
+        g = grid(GridSpec(cols, rows))
+        for r in range(1, g.edge_count + 1):
+            assert find_nonadjacent_pair(g, r) == first_witness_scan(g, r), r
+
+    def test_equals_scan_at_every_level_of_random_graphs(self):
+        for g in random_simple_graphs(300, max_edges=12):
+            for r in range(1, g.edge_count + 1):
+                assert find_nonadjacent_pair(g, r) == first_witness_scan(g, r), (g, r)
+
+    @pytest.mark.parametrize("cols, rows, r", [(4, 5, 13), (3, 7, 13), (5, 5, 16)])
+    def test_equals_scan_at_lc_minus_one_past_the_default_budget(self, cols, rows, r):
+        g = grid(GridSpec(cols, rows))
+        assert _lemma_lc(g)[0] == r + 1
+        budget = math.comb(g.edge_count, r)
+        assert budget > DEFAULT_PAIR_BUDGET
+        witness = find_nonadjacent_pair(g, r, pair_budget=budget)
+        assert witness == first_witness_scan(g, r)
+        if (cols, rows) == (5, 5):
+            assert witness.S.indices() == (*range(10), *range(20, 26))
+
+    @staticmethod
+    def counted(cols: int, rows: int, r: int) -> tuple[WitnessPair | None, int]:
+        g = grid(GridSpec(cols, rows))
+        masks = g.__dict__["edge_adjacency"] = CountingMasks(g.edge_adjacency)
+        return find_nonadjacent_pair(g, r), masks.reads
+
+    def test_prune_skips_most_of_a_complete_level(self):
+        # 4x4 at r = 11 is complete: C(24, 11) = 2,496,144 subsets, which a
+        # scan would each build from 11 mask reads.  The walk reads 10,417.
+        witness, reads = self.counted(4, 4, 11)
+        assert witness is None
+        assert reads <= 20_000
+
+    def test_first_hit_is_reached_in_few_reads(self):
+        # 2x8 at r = 10: the walk reads 244 masks to its first hit, plus
+        # the 10 that WitnessPair's re-check reads.
+        witness, reads = self.counted(2, 8, 10)
+        assert witness.S.indices() == (0, 1, 2, 3, 8, 9, 10, 11, 12, 13)
+        assert reads <= 1_000
+
+    def test_walk_depth_is_not_bounded_by_recursion(self):
+        # 1,500 disjoint edges: the walk goes 1,499 prefixes deep, past
+        # Python's default recursion limit of 1,000.
+        g = Graph.from_edges(3000, [(2 * i, 2 * i + 1) for i in range(1500)])
+        result = lc_bruteforce(g)
+        assert result.r == 1500
+        witness = result.witness_at_r_minus_1
+        assert witness.S.indices() == tuple(range(1499))
+        assert witness.T.indices() == (*range(1498), 1499)
 
 
 class TestIsCompleteIndex:
