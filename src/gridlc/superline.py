@@ -226,8 +226,9 @@ def find_nonadjacent_pair(
 
 
 #: Cap on the states one step of the lemma DP may hold.  The 5x5 grid
-#: peaks at 45,870 states (about 5 MiB).  The complete graph K_10 passes the
-#: cap at its ninth vertex with a peak RSS of about 63 MB for the whole run.
+#: peaks at 17,589 states, the 6x6 grid at 115,384, and the complete graph
+#: K_10 at 65,792, so all three are decided.  K_12 passes the cap at its
+#: tenth vertex with a peak RSS of about 100 MB for the whole run.
 _STATE_CAP = 2**17
 
 
@@ -251,19 +252,33 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     to a later neighbour, or rest that is done (matched already).  An edge
     joins E[X], E[Y] or the matching when its later endpoint is visited.
     A state is (labels, flag, d): d = |E[X]| - |E[Y]|, the flag records
-    that E[X] is nonempty, and the state's value is the best |E[Y]| plus
-    matched edges, so min(|E[X]|, |E[Y]|) + matched is value + min(d, 0).
-
-    E[Y] needs no flag: with E[Y] empty the objective is nu(G - X - Y),
-    at most nu(G) - 1 once X induces an edge.  The lemma's maximum reaches
-    nu(G) - 1 when nu(G) >= 2, with X and Y two edges of a maximum
-    matching, and is 0 otherwise, so such states never raise the answer.
+    that E[X] or E[Y] is nonempty, and the state's value is the best
+    |E[Y]| plus matched edges.  With a = value + d and b = value, the
+    objective min(|E[X]|, |E[Y]|) + matched is min(a, b) = value + min(d, 0).
 
     Of two states with equal labels and flag, (d1, v1) never does worse
-    than (d2, v2) when v1 >= v2 and v1 + d1 >= v2 + d2, so only the states
-    that no other beats this way are kept.  A step that holds more than
-    ``_STATE_CAP`` states raises :class:`CapacityError`; the peak counted
-    is of the same states.
+    than (d2, v2) when v1 >= v2 and v1 + d1 >= v2 + d2, that is when both
+    its a and its b are no smaller, so only the states that no other beats
+    this way are kept.
+
+    A state and its mirror, with the X and Y labels swapped and (d, value)
+    taken to (-d, value + d), are stored once.  Mirroring a completion
+    swaps a and b, which leaves min(a, b) unchanged and maps the dominance
+    rule to itself, so the two are worth the same.  Each target is keyed
+    by the smaller of its labels and their mirror, its pairs mirrored when
+    the mirror is the key; labels equal to their mirror (no X or Y on the
+    frontier) keep only the d >= 0 form of each pair.
+
+    The flag does not tell the two sides apart.  A flagged state with one
+    side empty scores its matched count, a matching of G - u - v for any
+    edge uv inside the nonempty side, so at most nu(G) - 1.  The lemma's
+    maximum is at least nu(G) - 1 when nu(G) >= 2, with X and Y two edges
+    of a maximum matching, so such states never raise the answer.  When
+    nu(G) <= 1 no state has both sides nonempty, every flagged state
+    scores 0, and lc = 1 as the lemma says.
+
+    A step that holds more than ``_STATE_CAP`` states raises
+    :class:`CapacityError`; the peak counted is of the same states.
     """
     if not g.edges:
         return 0, 0
@@ -306,10 +321,15 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                 labels = labels & ((1 << 2 * p) - 1) | labels >> 2 * p + 2 << 2 * p
             return labels
 
+        # The low bit of every label position that a target may use.
+        low = ((1 << 2 * len(frontier) + 2) - 1) // 3
+
         # The states of both flags share the moves of their labels.
         @functools.cache
-        def moves(labels: int) -> list[tuple[int, int, int, int]]:
-            """(labels, flag set, change in d, change in value) of each move."""
+        def moves(labels: int) -> list[tuple[int, int, int, int, float]]:
+            """(key labels, flag set, change in d, change in value, bound)
+            of each move; a moved pair whose d is below the bound is
+            mirrored onto the key."""
             nx = ny = 0
             rest = []
             for p in earlier:
@@ -321,21 +341,28 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                 elif label == _REST:
                     rest.append(p)
             kept = drop_leaving(labels)
-            return [
+            out = []
+            for target, set_flag, step_d, step_value in [
                 (kept | _X * place, nx > 0, nx, 0),
-                (kept | _Y * place, 0, -ny, ny),
+                (kept | _Y * place, ny > 0, -ny, ny),
                 (kept | _REST * place, 0, 0, 0),
-            ] + [(drop_leaving(labels & ~(3 << 2 * p)), 0, 0, 1) for p in rest]
+            ] + [(drop_leaving(labels & ~(3 << 2 * p)), 0, 0, 1) for p in rest]:
+                mirror = target ^ (target >> 1 & low)
+                below = math.inf if mirror < target else 0 if mirror == target else -math.inf
+                out.append((min(target, mirror), set_flag, step_d, step_value, below))
+            return out
 
         new: defaultdict[int, dict[int, int]] = defaultdict(dict)
         held = 0
         for key, pairs in states.items():
             flag = key & 1
-            for target, set_flag, step_d, step_value in moves(key >> 1):
+            for target, set_flag, step_d, step_value, below in moves(key >> 1):
                 best = new[target << 1 | flag | set_flag]
                 for d, value in pairs.items():
                     d += step_d
                     value += step_value
+                    if d < below:
+                        d, value = -d, value + d
                     if d not in best:
                         best[d] = value
                         held += 1

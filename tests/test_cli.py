@@ -120,23 +120,32 @@ class TestLcBrute:
             "error: level r = 16 needs 62852101650 subsets, past the budget of 16777216\n"
         )
 
+    def test_grid_6x6_decided_then_refused_on_the_budget(self, capsys):
+        # The DP decides lc = 28 within its state cap, so the refusal names
+        # level 27, the witness level.
+        code, out, err = run(capsys, "lc-brute", "--grid", "6", "6")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: level r = 27 needs 88004802264174740 subsets, past the budget of 16777216\n"
+        )
+
     def test_largest_grid_refused_on_the_state_cap(self, capsys):
         # 181x181 is the largest grid admitted; the DP passes its state cap
-        # after 19 vertices, before any budget is charged.
+        # after 23 vertices, before any budget is charged.
         started = time.process_time()
         code, out, err = run(capsys, "lc-brute", "--grid", "181", "181")
         assert time.process_time() - started < 5
         assert (code, out) == (3, "")
         assert err.splitlines() == [
-            "error: the lc dynamic program needs more than 131072 states at vertex 19 of 32761"
+            "error: the lc dynamic program needs more than 131072 states at vertex 23 of 32761"
         ]
 
     def test_state_cap_exit_3_under_a_memory_bound(self, tmp_path):
-        # K_10 passes the lc DP's state cap at its ninth vertex.  A fresh
+        # K_12 passes the lc DP's state cap at its tenth vertex.  A fresh
         # interpreter reports its own peak RSS (KiB on Linux), so the bound
         # covers the whole run; tracemalloc would slow it 30-fold.
-        source = tmp_path / "k10.edges"
-        write_edge_list(Graph.from_edges(10, combinations(range(10), 2)), source)
+        source = tmp_path / "k12.edges"
+        write_edge_list(Graph.from_edges(12, combinations(range(12), 2)), source)
         script = (
             "import resource, sys\n"
             "from gridlc.cli import main\n"
@@ -153,7 +162,7 @@ class TestLcBrute:
         assert done.stdout == ""
         error, peak_kib = done.stderr.splitlines()
         assert error == (
-            "error: the lc dynamic program needs more than 131072 states at vertex 9 of 10"
+            "error: the lc dynamic program needs more than 131072 states at vertex 10 of 12"
         )
         assert int(peak_kib) < 128 * 1024
 

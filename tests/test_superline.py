@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -17,6 +18,7 @@ from gridlc import (
     find_nonadjacent_pair,
     grid,
     lc_bruteforce,
+    lc_grid_formula,
     path,
     sets_adjacent,
     super_line_graph,
@@ -402,10 +404,41 @@ class TestLemmaDP:
         for g in random_simple_graphs(400, max_edges=12):
             assert lc_bruteforce(g) == lc_upward_scan(g), g
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(graphs(max_vertices=7, max_edges=21))
     def test_equals_lemma_brute_force(self, g):
         assert _lemma_lc(g)[0] == lc_lemma_naive(g)
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            (2, [(0, 1)]),
+            (6, [(0, k) for k in range(1, 6)]),
+            (3, [(0, 1), (1, 2), (0, 2)]),
+            (7, [(0, 1), (1, 2), (0, 2)]),
+        ],
+        ids=["K_1,1", "K_1,5", "triangle", "triangle and isolated vertices"],
+    )
+    def test_no_two_disjoint_edges_gives_one(self, vertices, edges):
+        # With nu <= 1 a state can have E[X] or E[Y], never both, so every
+        # flagged state scores 0.
+        g = Graph.from_edges(vertices, edges)
+        assert _lemma_lc(g)[0] == lc_lemma_naive(g) == 1
+
+    def test_triangle_with_pendants_reaches_nu_minus_one(self):
+        # Pendant edges at one vertex of a triangle: nu = 2, and lc - 1 =
+        # nu - 1 = 1 is reached by X and Y two disjoint edges.
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5)])
+        assert _lemma_lc(g)[0] == lc_lemma_naive(g) == 2
+
+    def test_complete_graph_k10_is_decided(self):
+        # Two disjoint K_5 give min(10, 10) + nu(empty) = 10 = lc - 1.
+        g = Graph.from_edges(10, itertools.combinations(range(10), 2))
+        assert _lemma_lc(g)[0] == 11
+
+    @pytest.mark.parametrize("cols, rows", [(6, 6), (5, 10)], ids=["6x6", "5x10"])
+    def test_equals_closed_form_under_the_default_cap(self, cols, rows):
+        assert _lemma_lc(grid(GridSpec(cols, rows)))[0] == lc_grid_formula(cols, rows)[0]
 
     @pytest.mark.parametrize("cols, rows", [(3, 3), (2, 6), (3, 4), (4, 4)])
     def test_relabelled_grids_give_the_same_answer(self, cols, rows):
@@ -426,8 +459,8 @@ class TestLemmaDP:
         # peaks README and ROADMAP quote.
         g = grid(GridSpec(4, 4))
         peaks = [_lemma_lc(relabelled(g, seed) if seed else g)[1] for seed in range(4)]
-        assert peaks == [5_661] * 4
-        assert _lemma_lc(grid(GridSpec(5, 5))) == (17, 45_870)
+        assert peaks == [2_238] * 4
+        assert _lemma_lc(grid(GridSpec(5, 5))) == (17, 17_589)
 
     def test_scans_only_level_lc_minus_one(self, monkeypatch):
         import gridlc.superline as superline
