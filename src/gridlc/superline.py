@@ -225,11 +225,14 @@ def find_nonadjacent_pair(
     return _first_witness(g, r)
 
 
-#: Cap on the states one step of the lemma DP may hold.  The 5x5 grid
-#: peaks at 17,589 states, the 6x6 grid at 115,384, and the complete graph
-#: K_10 at 65,792, so all three are decided.  K_12 passes the cap at its
-#: tenth vertex with a peak RSS of about 100 MB for the whole run.
-_STATE_CAP = 2**17
+#: Bytes one step of the lemma DP may hold.  Each key is charged
+#: ``_KEY_BYTES`` (its dict slot, its key int and its bitset's int header,
+#: about 100 bytes by ``sys.getsizeof``) plus its bitset's bound of
+#: (decided + 1) * W bits, at 4 bytes for every 30 bits.  The 7x7 grid,
+#: the 6x20 grid and K_10 are decided; the 181x181 grid and K_12 pass the
+#: budget within their first 11 vertices, under 100 MB of RSS each.
+_BYTE_BUDGET = 2**26
+_KEY_BYTES = 100
 
 
 # Frontier labels of the lemma DP, two bits per frontier position.
@@ -237,7 +240,7 @@ _DONE, _REST, _X, _Y = range(4)
 
 
 def _lemma_lc(g: Graph) -> tuple[int, int]:
-    """lc(g) by a frontier DP over the lemma, and the DP's peak state count.
+    """lc(g) by a frontier DP over the lemma, and the DP's peak key count.
 
     The vertices that have edges are visited one at a time.  The frontier
     is the set of visited vertices that still have an unvisited neighbour.
@@ -251,34 +254,29 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     Each frontier vertex is labelled X, Y, rest that may still be matched
     to a later neighbour, or rest that is done (matched already).  An edge
     joins E[X], E[Y] or the matching when its later endpoint is visited.
-    A state is (labels, flag, d): d = |E[X]| - |E[Y]|, the flag records
-    that E[X] or E[Y] is nonempty, and the state's value is the best
-    |E[Y]| plus matched edges.  With a = value + d and b = value, the
-    objective min(|E[X]|, |E[Y]|) + matched is min(a, b) = value + min(d, 0).
+    A key is (labels, flag), the flag recording that E[X] or E[Y] is
+    nonempty.  Its value is the set of points (a, b) reached by the
+    labellings of the visited vertices that end in those labels, with
+    a = |E[X]| + matched and b = |E[Y]| + matched, kept as one int whose
+    bit a * W + b is set for each point, W = E + 1.  A move shifts the
+    whole set: an X move by nx * W, a Y move by ny, a match by W + 1, rest
+    by 0, and the sets that reach one key are merged with ``|``.  Both a
+    and b count closed edges, so b <= E < W and no row runs into the next.
+    Every set bit is the point of a real labelling and every labelling's
+    point is set, so the largest min(a, b) over the final key is the
+    lemma's maximum exactly; a point that another dominates is kept, but
+    it cannot raise that maximum, so no pruning is needed.
 
-    Of two states with equal labels and flag, (d1, v1) never does worse
-    than (d2, v2) when v1 >= v2 and v1 + d1 >= v2 + d2, that is when both
-    its a and its b are no smaller, so only the states that no other beats
-    this way are kept.
-
-    A state and its mirror, with the X and Y labels swapped and (d, value)
-    taken to (-d, value + d), are stored once.  Mirroring a completion
-    swaps a and b, which leaves min(a, b) unchanged and maps the dominance
-    rule to itself, so the two are worth the same.  Each target is keyed
-    by the smaller of its labels and their mirror, its pairs mirrored when
-    the mirror is the key; labels equal to their mirror (no X or Y on the
-    frontier) keep only the d >= 0 form of each pair.
-
-    The flag does not tell the two sides apart.  A flagged state with one
-    side empty scores its matched count, a matching of G - u - v for any
+    The flag does not tell the two sides apart.  A flagged labelling with
+    one side empty scores its matched count, a matching of G - u - v for any
     edge uv inside the nonempty side, so at most nu(G) - 1.  The lemma's
     maximum is at least nu(G) - 1 when nu(G) >= 2, with X and Y two edges
-    of a maximum matching, so such states never raise the answer.  When
-    nu(G) <= 1 no state has both sides nonempty, every flagged state
+    of a maximum matching, so such labellings never raise the answer.  When
+    nu(G) <= 1 no labelling has both sides nonempty, every flagged one
     scores 0, and lc = 1 as the lemma says.
 
-    A step that holds more than ``_STATE_CAP`` states raises
-    :class:`CapacityError`; the peak counted is of the same states.
+    A step whose keys are charged more than ``_BYTE_BUDGET`` bytes raises
+    :class:`CapacityError`; the peak counted is of the same keys.
     """
     if not g.edges:
         return 0, 0
@@ -297,8 +295,10 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         closing = sum(unvisited[u] == 1 for u in neighbours[v] if u in visited)
         return ((unvisited[v] > 0) - closing, unvisited[v] - degree, degree, v)
 
+    width = g.edge_count + 1
+    decided = 0
     frontier: list[int] = []
-    states = {0: {0: 0}}  # labels << 1 | flag -> {d: value}
+    states = {0: 1}  # labels << 1 | flag -> bitset of points (a, b)
     peak = 0
     for step in range(1, len(neighbours) + 1):
         if frontier:
@@ -315,21 +315,20 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         # v's own label goes to the next free position, or nowhere when v
         # has no unvisited neighbour left.
         place = (unvisited[v] > 0) << 2 * len(frontier)
+        # A point's a and b count closed edges, so its bit is below
+        # (decided + 1) * W: the keys this step may hold within the budget.
+        decided += len(earlier)
+        most = _BYTE_BUDGET // (_KEY_BYTES + (decided + 1) * width // 30 * 4)
 
         def drop_leaving(labels: int) -> int:
             for p in leaving:
                 labels = labels & ((1 << 2 * p) - 1) | labels >> 2 * p + 2 << 2 * p
             return labels
 
-        # The low bit of every label position that a target may use.
-        low = ((1 << 2 * len(frontier) + 2) - 1) // 3
-
-        # The states of both flags share the moves of their labels.
+        # The keys of both flags share the moves of their labels.
         @functools.cache
-        def moves(labels: int) -> list[tuple[int, int, int, int, float]]:
-            """(key labels, flag set, change in d, change in value, bound)
-            of each move; a moved pair whose d is below the bound is
-            mirrored onto the key."""
+        def moves(labels: int) -> list[tuple[int, int]]:
+            """(target key with the flag the move sets, shift) of each move."""
             nx = ny = 0
             rest = []
             for p in earlier:
@@ -341,58 +340,40 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                 elif label == _REST:
                     rest.append(p)
             kept = drop_leaving(labels)
-            out = []
-            for target, set_flag, step_d, step_value in [
-                (kept | _X * place, nx > 0, nx, 0),
-                (kept | _Y * place, ny > 0, -ny, ny),
-                (kept | _REST * place, 0, 0, 0),
-            ] + [(drop_leaving(labels & ~(3 << 2 * p)), 0, 0, 1) for p in rest]:
-                mirror = target ^ (target >> 1 & low)
-                below = math.inf if mirror < target else 0 if mirror == target else -math.inf
-                out.append((min(target, mirror), set_flag, step_d, step_value, below))
-            return out
+            return [
+                ((kept | _X * place) << 1 | (nx > 0), nx * width),
+                ((kept | _Y * place) << 1 | (ny > 0), ny),
+                ((kept | _REST * place) << 1, 0),
+            ] + [(drop_leaving(labels & ~(3 << 2 * p)) << 1, width + 1) for p in rest]
 
-        new: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        held = 0
-        for key, pairs in states.items():
+        new: dict[int, int] = {}
+        for key, points in states.items():
             flag = key & 1
-            for target, set_flag, step_d, step_value, below in moves(key >> 1):
-                best = new[target << 1 | flag | set_flag]
-                for d, value in pairs.items():
-                    d += step_d
-                    value += step_value
-                    if d < below:
-                        d, value = -d, value + d
-                    if d not in best:
-                        best[d] = value
-                        held += 1
-                    elif best[d] < value:
-                        best[d] = value
-            if held > _STATE_CAP:
+            for target, shift in moves(key >> 1):
+                target |= flag
+                new[target] = new.get(target, 0) | points << shift
+            if len(new) > most:
                 raise CapacityError(
-                    f"the lc dynamic program needs more than {_STATE_CAP} states "
+                    f"the lc dynamic program needs more than {_BYTE_BUDGET} bytes "
                     f"at vertex {step} of {len(neighbours)}"
                 )
-        peak = max(peak, held)
+        peak = max(peak, len(new))
         if place:
             frontier.append(v)
-        states = {}
-        for key, best in new.items():
-            pairs = states[key] = {}
-            top = -math.inf
-            for value, d in sorted(zip(best.values(), best), reverse=True):
-                if value + d > top:
-                    top = value + d
-                    pairs[d] = value
-    # Any edge can be X, so some final state has the flag.
-    return max(value + min(d, 0) for d, value in states[1].items()) + 1, peak
+        states = new
+    # Any edge can be X, so the final key with the flag exists.  Row a of
+    # its bitset holds the b of its points; the best is min(a, largest b).
+    points = states[1]
+    row = (1 << width) - 1
+    best = max(min(a, (points >> a * width & row).bit_length() - 1) for a in range(width))
+    return best + 1, peak
 
 
 def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
     """Least ``r`` whose super line graph is complete, with a witness at ``r - 1``.
 
     ``r`` comes from the lemma in the module docstring, decided by
-    :func:`_lemma_lc`; a DP that passes its state cap raises
+    :func:`_lemma_lc`; a DP that passes its byte budget raises
     :class:`CapacityError`.  For ``r >= 2`` level ``r - 1`` is then
     scanned, the only level that is, for its lexicographically first
     witness pair.  That level is charged its C(E, r - 1) subsets and

@@ -35,6 +35,31 @@ from support import graphs
 SRC = Path(gridlc.__file__).resolve().parent.parent
 
 
+def run_measured(*argv):
+    """Run the CLI in a fresh interpreter that reports its own resource use.
+
+    Returns (exit code, stdout, stderr lines, peak RSS in KiB, CPU seconds).
+    The interpreter reads its own rusage (RSS in KiB on Linux), so the
+    figures cover the whole run; tracemalloc would slow it 30-fold.
+    """
+    script = (
+        "import resource, sys\n"
+        "from gridlc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "use = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "print(use.ru_maxrss, use.ru_utime + use.ru_stime, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    *lines, usage = done.stderr.splitlines()
+    peak_kib, cpu_s = usage.split()
+    return done.returncode, done.stdout, lines, int(peak_kib), float(cpu_s)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -121,7 +146,7 @@ class TestLcBrute:
         )
 
     def test_grid_6x6_decided_then_refused_on_the_budget(self, capsys):
-        # The DP decides lc = 28 within its state cap, so the refusal names
+        # The DP decides lc = 28 within its byte budget, so the refusal names
         # level 27, the witness level.
         code, out, err = run(capsys, "lc-brute", "--grid", "6", "6")
         assert (code, out) == (3, "")
@@ -130,41 +155,37 @@ class TestLcBrute:
         )
 
     def test_largest_grid_refused_on_the_state_cap(self, capsys):
-        # 181x181 is the largest grid admitted; the DP passes its state cap
-        # after 23 vertices, before any budget is charged.
+        # 181x181 is the largest grid admitted; the DP passes its byte
+        # budget after 11 vertices, before any level budget is charged.
         started = time.process_time()
         code, out, err = run(capsys, "lc-brute", "--grid", "181", "181")
         assert time.process_time() - started < 5
         assert (code, out) == (3, "")
         assert err.splitlines() == [
-            "error: the lc dynamic program needs more than 131072 states at vertex 23 of 32761"
+            "error: the lc dynamic program needs more than 67108864 bytes at vertex 11 of 32761"
         ]
 
+    def test_largest_grid_refused_under_a_memory_bound(self):
+        # Each 181x181 key holds a bitset of about 90 KB, so the byte budget,
+        # not a key count, is what bounds the run's memory.
+        code, out, err, peak_kib, cpu_s = run_measured("lc-brute", "--grid", "181", "181")
+        assert (code, out) == (3, "")
+        assert err == [
+            "error: the lc dynamic program needs more than 67108864 bytes at vertex 11 of 32761"
+        ]
+        assert cpu_s < 5
+        assert peak_kib < 128 * 1024
+
     def test_state_cap_exit_3_under_a_memory_bound(self, tmp_path):
-        # K_12 passes the lc DP's state cap at its tenth vertex.  A fresh
-        # interpreter reports its own peak RSS (KiB on Linux), so the bound
-        # covers the whole run; tracemalloc would slow it 30-fold.
+        # K_12 passes the lc DP's byte budget at its tenth vertex.
         source = tmp_path / "k12.edges"
         write_edge_list(Graph.from_edges(12, combinations(range(12), 2)), source)
-        script = (
-            "import resource, sys\n"
-            "from gridlc.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script, "lc-brute", "--input", str(source)],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert done.returncode == 3
-        assert done.stdout == ""
-        error, peak_kib = done.stderr.splitlines()
-        assert error == (
-            "error: the lc dynamic program needs more than 131072 states at vertex 10 of 12"
-        )
-        assert int(peak_kib) < 128 * 1024
+        code, out, err, peak_kib, _ = run_measured("lc-brute", "--input", str(source))
+        assert (code, out) == (3, "")
+        assert err == [
+            "error: the lc dynamic program needs more than 67108864 bytes at vertex 10 of 12"
+        ]
+        assert peak_kib < 128 * 1024
 
     def test_internal_error_exit_4(self, capsys, monkeypatch):
         # A level lc - 1 without a witness means the lemma DP and the scan

@@ -436,7 +436,9 @@ class TestLemmaDP:
         g = Graph.from_edges(10, itertools.combinations(range(10), 2))
         assert _lemma_lc(g)[0] == 11
 
-    @pytest.mark.parametrize("cols, rows", [(6, 6), (5, 10)], ids=["6x6", "5x10"])
+    @pytest.mark.parametrize(
+        "cols, rows", [(6, 6), (5, 10), (6, 8)], ids=["6x6", "5x10", "6x8"]
+    )
     def test_equals_closed_form_under_the_default_cap(self, cols, rows):
         assert _lemma_lc(grid(GridSpec(cols, rows)))[0] == lc_grid_formula(cols, rows)[0]
 
@@ -454,13 +456,25 @@ class TestLemmaDP:
             )
 
     def test_peak_states_do_not_depend_on_the_numbering(self):
-        # The visiting order comes from the graph: in vertex-id order each
-        # relabelled copy here passes the cap of 2^17 states.  These are the
-        # peaks README and ROADMAP quote.
+        # The visiting order comes from the graph, so every relabelled copy
+        # holds the same bitsets.  These are the peaks README and ROADMAP
+        # quote.
         g = grid(GridSpec(4, 4))
         peaks = [_lemma_lc(relabelled(g, seed) if seed else g)[1] for seed in range(4)]
-        assert peaks == [2_238] * 4
-        assert _lemma_lc(grid(GridSpec(5, 5))) == (17, 17_589)
+        assert peaks == [474] * 4
+        assert _lemma_lc(grid(GridSpec(5, 5))) == (17, 1_914)
+
+    def test_byte_budget_refuses_at_a_pinned_vertex(self, monkeypatch):
+        # A 4x4 key is charged 100 bytes plus (decided + 1) * 25 bits, so
+        # 16 KiB holds the keys of the first six vertices only.
+        import gridlc.superline as superline
+
+        monkeypatch.setattr(superline, "_BYTE_BUDGET", 2**14)
+        with pytest.raises(CapacityError) as refused:
+            _lemma_lc(grid(GridSpec(4, 4)))
+        assert str(refused.value) == (
+            "the lc dynamic program needs more than 16384 bytes at vertex 7 of 16"
+        )
 
     def test_scans_only_level_lc_minus_one(self, monkeypatch):
         import gridlc.superline as superline
