@@ -39,7 +39,6 @@ budget, so no level is ever cut short.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import defaultdict, namedtuple
@@ -225,12 +224,15 @@ def find_nonadjacent_pair(
     return _first_witness(g, r)
 
 
-#: Bytes one step of the lemma DP may hold.  Each key is charged
-#: ``_KEY_BYTES`` (its dict slot, its key int and its bitset's int header,
-#: about 100 bytes by ``sys.getsizeof``) plus its bitset's bound of
-#: (decided + 1) * W bits, at 4 bytes for every 30 bits.  The 7x7 grid,
-#: the 6x20 grid and K_10 are decided; the 181x181 grid and K_12 pass the
-#: budget within their first 11 vertices, under 100 MB of RSS each.
+#: Bytes one step of the lemma DP may hold.  Each key, a (labels, flag)
+#: pair with a nonempty bitset, is charged ``_KEY_BYTES`` plus its bitset's
+#: bound of (decided + 1) * W bits, at 4 bytes for every 30 bits.  By
+#: ``sys.getsizeof`` an entry (its dict slot, its labels int, its pair and
+#: the int headers of its nonzero bitsets) takes about 165 bytes: 88 a key
+#: when both flags' bitsets are set, as in most grid entries, and 148 when
+#: one is, as in every K_10 entry.  The 7x7 grid, the 6x20 grid and K_10
+#: are decided; the 181x181 grid and K_12 pass the budget within their
+#: first 11 vertices, under 100 MB of RSS each.
 _BYTE_BUDGET = 2**26
 _KEY_BYTES = 100
 
@@ -254,14 +256,19 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     Each frontier vertex is labelled X, Y, rest that may still be matched
     to a later neighbour, or rest that is done (matched already).  An edge
     joins E[X], E[Y] or the matching when its later endpoint is visited.
-    A key is (labels, flag), the flag recording that E[X] or E[Y] is
-    nonempty.  Its value is the set of points (a, b) reached by the
-    labellings of the visited vertices that end in those labels, with
+    The DP keeps one entry per labelling of the frontier: a pair of point
+    sets, one for each value of a flag recording that E[X] or E[Y] is
+    nonempty; a key is a (labels, flag) pair whose set is nonempty.  The
+    set holds the points (a, b) reached by the labellings of the visited
+    vertices that end in those labels with that flag, with
     a = |E[X]| + matched and b = |E[Y]| + matched, kept as one int whose
-    bit a * W + b is set for each point, W = E + 1.  A move shifts the
-    whole set: an X move by nx * W, a Y move by ny, a match by W + 1, rest
-    by 0, and the sets that reach one key are merged with ``|``.  Both a
-    and b count closed edges, so b <= E < W and no row runs into the next.
+    bit a * W + b is set for each point, W = E + 1.  A move shifts a whole
+    set: an X move by nx * W, a Y move by ny, a match by W + 1, rest by 0.
+    A move that sets the flag (X with nx > 0, Y with ny > 0) sends the union
+    of both sets to the target's flagged set; any other move sends each set
+    to the target's set of the same flag.  Sets that reach one key are
+    merged with ``|``.  Both a and b count closed edges, so b <= E < W and
+    no row runs into the next.
     Every set bit is the point of a real labelling and every labelling's
     point is set, so the largest min(a, b) over the final key is the
     lemma's maximum exactly; a point that another dominates is kept, but
@@ -275,8 +282,9 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     nu(G) <= 1 no labelling has both sides nonempty, every flagged one
     scores 0, and lc = 1 as the lemma says.
 
-    A step whose keys are charged more than ``_BYTE_BUDGET`` bytes raises
-    :class:`CapacityError`; the peak counted is of the same keys.
+    The keys of a step are charged as ``_BYTE_BUDGET`` says, checked after
+    each labelling's moves; past the budget the DP raises
+    :class:`CapacityError`.  The peak counted is of the same keys.
     """
     if not g.edges:
         return 0, 0
@@ -298,7 +306,7 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     width = g.edge_count + 1
     decided = 0
     frontier: list[int] = []
-    states = {0: 1}  # labels << 1 | flag -> bitset of points (a, b)
+    states = {0: (1, 0)}  # labels -> (bitset without the flag, bitset with it)
     peak = 0
     for step in range(1, len(neighbours) + 1):
         if frontier:
@@ -310,60 +318,64 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         earlier = [slot[u] for u in neighbours[v] if u in slot]
         for u in neighbours[v]:
             unvisited[u] -= 1
-        leaving = sorted((p for p in earlier if unvisited[frontier[p]] == 0), reverse=True)
+        leaving = sorted(p for p in earlier if unvisited[frontier[p]] == 0)
         frontier = [u for u in frontier if unvisited[u]]
+        # Surviving labels are compacted by (mask, shift) segments between the
+        # leaving slots.  A match on earlier slot p flips its compacted field
+        # from rest to done, or nothing when p leaves.
+        segments, low = [], 0
+        for k, p in enumerate(leaving):
+            segments.append(((1 << 2 * p) - (1 << low), 2 * k))
+            low = 2 * p + 2
+        segments.append((-(1 << low), 2 * len(leaving)))
+        reads = [
+            (2 * p, 0 if p in leaving else _REST << 2 * (p - sum(q < p for q in leaving)))
+            for p in earlier
+        ]
         # v's own label goes to the next free position, or nowhere when v
         # has no unvisited neighbour left.
         place = (unvisited[v] > 0) << 2 * len(frontier)
         # A point's a and b count closed edges, so its bit is below
-        # (decided + 1) * W: the keys this step may hold within the budget.
+        # (decided + 1) * W: the bitsets this step may hold within the budget.
         decided += len(earlier)
         most = _BYTE_BUDGET // (_KEY_BYTES + (decided + 1) * width // 30 * 4)
-
-        def drop_leaving(labels: int) -> int:
-            for p in leaving:
-                labels = labels & ((1 << 2 * p) - 1) | labels >> 2 * p + 2 << 2 * p
-            return labels
-
-        # The keys of both flags share the moves of their labels.
-        @functools.cache
-        def moves(labels: int) -> list[tuple[int, int]]:
-            """(target key with the flag the move sets, shift) of each move."""
+        new: dict[int, tuple[int, int]] = {}
+        count = 0
+        put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
+        for labels, (p0, p1) in states.items():
+            kept = 0
+            for mask, shift in segments:
+                kept |= (labels & mask) >> shift
+            plain, flagged = (p0, p1), (0, p0 | p1)
+            moves = [(kept | put_rest, 0, plain)]
             nx = ny = 0
-            rest = []
-            for p in earlier:
-                label = labels >> 2 * p & 3
+            for shift, unmatch in reads:
+                label = labels >> shift & 3
                 if label == _X:
                     nx += 1
                 elif label == _Y:
                     ny += 1
                 elif label == _REST:
-                    rest.append(p)
-            kept = drop_leaving(labels)
-            return [
-                ((kept | _X * place) << 1 | (nx > 0), nx * width),
-                ((kept | _Y * place) << 1 | (ny > 0), ny),
-                ((kept | _REST * place) << 1, 0),
-            ] + [(drop_leaving(labels & ~(3 << 2 * p)) << 1, width + 1) for p in rest]
-
-        new: dict[int, int] = {}
-        for key, points in states.items():
-            flag = key & 1
-            for target, shift in moves(key >> 1):
-                target |= flag
-                new[target] = new.get(target, 0) | points << shift
-            if len(new) > most:
+                    moves.append((kept ^ unmatch, width + 1, plain))
+            # A move that sets the flag sends both bitsets to the flagged one.
+            moves.append((kept | put_x, nx * width, flagged if nx else plain))
+            moves.append((kept | put_y, ny, flagged if ny else plain))
+            for target, shift, (q0, q1) in moves:
+                e0, e1 = new.get(target, (0, 0))
+                new[target] = e0 | q0 << shift, e1 | q1 << shift
+                count += (not e0 and q0 > 0) + (not e1 and q1 > 0)
+            if count > most:
                 raise CapacityError(
                     f"the lc dynamic program needs more than {_BYTE_BUDGET} bytes "
                     f"at vertex {step} of {len(neighbours)}"
                 )
-        peak = max(peak, len(new))
+        peak = max(peak, count)
         if place:
             frontier.append(v)
         states = new
     # Any edge can be X, so the final key with the flag exists.  Row a of
     # its bitset holds the b of its points; the best is min(a, largest b).
-    points = states[1]
+    points = states[0][1]
     row = (1 << width) - 1
     best = max(min(a, (points >> a * width & row).bit_length() - 1) for a in range(width))
     return best + 1, peak

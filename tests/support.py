@@ -9,6 +9,8 @@ uses the graph's adjacency masks but no code from ``gridlc.superline``
 beyond the public record types.  ``lc_upward_scan`` runs it at every level,
 the way ``lc_bruteforce`` decided lc before the lemma DP; it is the
 reference the DP is checked against where the scan is fast enough.
+``lc_grid_transfer`` decides grids from the lemma by its own
+transfer-matrix DP, the reference for grids the scan cannot reach.
 """
 
 from __future__ import annotations
@@ -138,6 +140,66 @@ def lc_lemma_naive(graph: Graph) -> int:
                 min(len(within["X"]), len(within["Y"])) + matching_number_naive(within["R"]),
             )
     return best + 1
+
+
+def lc_grid_transfer(cols: int, rows: int) -> int:
+    """lc of the cols x rows grid from the lemma, by a transfer-matrix DP.
+
+    Shares no code with ``gridlc.superline``.  Cells are scanned row-major
+    with the shorter side across, so the frontier is the last ``width``
+    cells, one character each: X, Y, R (rest, free to be matched to a later
+    neighbour) or D (rest that is matched or stays unmatched).  A state is
+    the frontier and whether E[X] and E[Y] are nonempty; it maps each
+    d = |E[X]| - |E[Y]| to the best value |E[Y]| + matched.  The future adds
+    the same to d and to the value whatever came before, and the score
+    min(|E[X]|, |E[Y]|) + matched = value + min(d, 0) grows with the value,
+    so only the best value is kept.  Swapping X and Y maps (d, value) to
+    (-d, value + d) and keeps the score, so each frontier is stored as the
+    lesser of itself and its swap.
+    """
+    width, length = sorted((cols, rows))
+    if 2 * width * length - width - length == 0:
+        return 0
+    swap = str.maketrans("XY", "YX")
+    states = {("D" * width, False, False): {0: 0}}
+    for i in range(length):
+        for j in range(width):
+            new: dict[tuple[str, bool, bool], dict[int, int]] = {}
+            for (labels, has_x, has_y), points in states.items():
+                near = labels[j - 1] * (j > 0) + labels[j] * (i > 0)
+                nx, ny = near.count("X"), near.count("Y")
+                head, tail = labels[:j], labels[j + 1:]
+                # (frontier, has_x, has_y, added to d, added to the value)
+                moves = [
+                    (head + "X" + tail, has_x or nx > 0, has_y, nx, 0),
+                    (head + "Y" + tail, has_x, has_y or ny > 0, -ny, ny),
+                    (head + "R" + tail, has_x, has_y, 0, 0),
+                ]
+                if i > 0 and labels[j] == "R":  # matched to the cell above
+                    moves.append((head + "D" + tail, has_x, has_y, 0, 1))
+                if j > 0 and labels[j - 1] == "R":  # matched to the cell on the left
+                    moves.append((labels[:j - 1] + "DD" + tail, has_x, has_y, 0, 1))
+                for after, flag_x, flag_y, step_d, step_value in moves:
+                    mirror = after.translate(swap)
+                    mirrored = mirror < after
+                    if mirrored:
+                        after, flag_x, flag_y = mirror, flag_y, flag_x
+                    target = new.setdefault((after, flag_x, flag_y), {})
+                    for d, value in points.items():
+                        d += step_d
+                        value += step_value
+                        if mirrored:
+                            d, value = -d, value + d
+                        if target.get(d, -1) < value:
+                            target[d] = value
+            states = new
+    scores = [
+        value + min(d, 0)
+        for (_, has_x, has_y), points in states.items()
+        if has_x and has_y
+        for d, value in points.items()
+    ]
+    return max(scores, default=0) + 1
 
 
 def grids_with_at_most(max_edges: int) -> list[tuple[int, int]]:

@@ -29,6 +29,7 @@ from support import (
     first_witness_scan,
     graphs,
     grids_with_at_most,
+    lc_grid_transfer,
     lc_lemma_naive,
     lc_naive,
     lc_upward_scan,
@@ -398,7 +399,9 @@ class TestLemmaDP:
     )
     def test_equals_upward_scan_on_grids(self, cols, rows):
         g = grid(GridSpec(cols, rows))
-        assert lc_bruteforce(g) == lc_upward_scan(g)
+        expected = lc_upward_scan(g)
+        assert lc_bruteforce(g) == expected
+        assert lc_grid_transfer(cols, rows) == expected.r
 
     def test_equals_upward_scan_on_random_graphs(self):
         for g in random_simple_graphs(400, max_edges=12):
@@ -434,13 +437,28 @@ class TestLemmaDP:
     def test_complete_graph_k10_is_decided(self):
         # Two disjoint K_5 give min(10, 10) + nu(empty) = 10 = lc - 1.
         g = Graph.from_edges(10, itertools.combinations(range(10), 2))
-        assert _lemma_lc(g)[0] == 11
+        assert _lemma_lc(g) == (11, 131_328)
 
     @pytest.mark.parametrize(
-        "cols, rows", [(6, 6), (5, 10), (6, 8)], ids=["6x6", "5x10", "6x8"]
+        "cols, rows, peak",
+        [(6, 6, 7_674), (5, 10, 1_914), (6, 8, 7_674)],
+        ids=["6x6", "5x10", "6x8"],
     )
-    def test_equals_closed_form_under_the_default_cap(self, cols, rows):
-        assert _lemma_lc(grid(GridSpec(cols, rows)))[0] == lc_grid_formula(cols, rows)[0]
+    def test_equals_closed_form_under_the_default_cap(self, cols, rows, peak):
+        assert _lemma_lc(grid(GridSpec(cols, rows))) == (lc_grid_formula(cols, rows)[0], peak)
+
+    @pytest.mark.parametrize(
+        "width, length",
+        [(width, length) for width in range(1, 5) for length in range(width, 13)]
+        + [(5, length) for length in range(5, 9)],
+        ids=lambda value: str(value),
+    )
+    def test_equals_grid_transfer(self, width, length):
+        # Both orientations of every grid of width <= 4 and length <= 12,
+        # and of 5x5 to 5x8, against a reference that shares no code.
+        expected = lc_grid_transfer(width, length)
+        assert _lemma_lc(grid(GridSpec(width, length)))[0] == expected
+        assert _lemma_lc(grid(GridSpec(length, width)))[0] == expected
 
     @pytest.mark.parametrize("cols, rows", [(3, 3), (2, 6), (3, 4), (4, 4)])
     def test_relabelled_grids_give_the_same_answer(self, cols, rows):
@@ -462,7 +480,9 @@ class TestLemmaDP:
         g = grid(GridSpec(4, 4))
         peaks = [_lemma_lc(relabelled(g, seed) if seed else g)[1] for seed in range(4)]
         assert peaks == [474] * 4
-        assert _lemma_lc(grid(GridSpec(5, 5))) == (17, 1_914)
+        g = grid(GridSpec(5, 5))
+        for seed in range(4):
+            assert _lemma_lc(relabelled(g, seed) if seed else g) == (17, 1_914)
 
     def test_byte_budget_refuses_at_a_pinned_vertex(self, monkeypatch):
         # A 4x4 key is charged 100 bytes plus (decided + 1) * 25 bits, so
