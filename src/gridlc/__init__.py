@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 _SOURCES = {
     "errors": (
-        "BudgetExceededError",
         "CapacityError",
         "DEFAULT_PAIR_BUDGET",
         "DEFAULT_VERTEX_CAP",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad
-arguments or malformed input, 3 a size cap or enumeration budget was hit,
-4 an internal error, a bug in gridlc, reported on one ``internal error:``
-line.  A reader that closes stdout early (``gridlc slice ... | head``)
-does not change the exit code.
+arguments or malformed input, 3 a size cap or the witness walk's budget of
+mask reads was hit, 4 an internal error, a bug in gridlc, reported on one
+``internal error:`` line.  A reader that closes stdout early
+(``gridlc slice ... | head``) does not change the exit code.
 
 Each ``_cmd_*`` handler returns its exit code, its JSON payload and its
 text lines, built from the same values; ``main`` prints the payload under
@@ -19,12 +19,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    DEFAULT_PAIR_BUDGET,
-    DEFAULT_VERTEX_CAP,
-    BudgetExceededError,
-    CapacityError,
-)
+from .errors import DEFAULT_PAIR_BUDGET, DEFAULT_VERTEX_CAP, CapacityError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -201,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     budget_parent = argparse.ArgumentParser(add_help=False)
     budget_parent.add_argument(
         "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on the subsets of the one level scanned for the witness, level "
-        "lc - 1 of C(E, lc - 1) subsets, per grid in xcheck; the default decides "
-        "every graph with at most 26 edges",
+        help="cap on the adjacency masks the witness walk at level lc - 1 reads, "
+        "per grid in xcheck; the default decides every graph with at most 24 edges",
     )
 
     p = sub.add_parser(
@@ -269,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             # stdout again at exit, so point it at devnull to keep that quiet.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except (BudgetExceededError, CapacityError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-#: Default cap on the subsets a level scan is charged.  A level costs all
-#: C(E, r) of its subsets, and ``lc_bruteforce`` scans level lc - 1 alone;
-#: C(26, 13) = 10,400,600 fits, so the default decides every graph with at
-#: most 26 edges.
+#: Default cap on the adjacency masks the witness walk may read, one per
+#: prefix it tries.  A walk over E edges tries fewer than 2**E prefixes, so
+#: the default decides every level of every graph with at most 24 edges.
 DEFAULT_PAIR_BUDGET = 2**24
 
 #: Default cap on the number of subset vertices a super line graph may have.
@@ -14,11 +13,3 @@ DEFAULT_VERTEX_CAP = 10**5
 
 class CapacityError(RuntimeError):
     """A requested construction exceeds a configured size cap."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A level scan was refused because its subsets would pass the budget.
-
-    Deliberately distinct from "no witness exists": when this is raised,
-    nothing may be concluded about completeness at the refused level.
-    """

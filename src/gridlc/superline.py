@@ -32,9 +32,9 @@ matching edges are a non-adjacent pair of (j + k)-subsets.  So every
 level up to the maximum has a witness, which also proves that
 completeness is monotone in ``r``.
 
-Level scans are budgeted in subsets: a level is charged all C(E, r) of
-its subsets before it is scanned and is refused whole if that passes the
-budget, so no level is ever cut short.
+The witness walk is budgeted in the adjacency masks it reads, one per
+prefix it tries.  A walk that passes the budget raises, so a level is
+decided in full or not at all: a cut-short walk reports nothing.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ import math
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator
 
-from .errors import (
-    DEFAULT_PAIR_BUDGET,
-    DEFAULT_VERTEX_CAP,
-    BudgetExceededError,
-    CapacityError,
-)
+from .errors import DEFAULT_PAIR_BUDGET, DEFAULT_VERTEX_CAP, CapacityError
 from .graph import Graph
 
 
@@ -160,7 +155,7 @@ def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         yield indices, bits, cover
 
 
-def _first_witness(g: Graph, r: int) -> WitnessPair | None:
+def _first_witness(g: Graph, r: int, budget: int) -> WitnessPair | None:
     """Lexicographically first non-adjacent pair of r-subsets, or ``None``.
 
     ``None`` means the level is complete.  With F the complement of an
@@ -168,18 +163,26 @@ def _first_witness(g: Graph, r: int) -> WitnessPair | None:
     than S, iff ``|F| - [S inside F] >= r``.  An iterative depth-first walk
     over prefixes in lexicographic order stops at the first such S; covers
     only grow, so a prefix P with ``|F_P| < r`` is skipped with its subtree.
+    Each prefix tried reads one adjacency mask; a walk that would read more
+    than ``budget`` raises :class:`CapacityError`.
     """
     full = g.full_edge_mask()
     adjacency = g.edge_adjacency
     last = g.edge_count - r
     # Depth k: the next edge to try after a k-edge prefix, its bits, its cover.
     after, bits, cover = [0] * r, [0] * r, [0] * r
-    k = 0
+    k = reads = 0
     while k >= 0:
         e = after[k]
         if e > last + k:
             k -= 1
             continue
+        if reads >= budget:
+            raise CapacityError(
+                f"the witness walk at level r = {r} reads more than the budget "
+                f"of {budget} masks"
+            )
+        reads += 1
         after[k] = e + 1
         b = bits[k] | 1 << e
         c = cover[k] | adjacency[e]
@@ -201,27 +204,17 @@ def _first_witness(g: Graph, r: int) -> WitnessPair | None:
     return None
 
 
-def _charge(g: Graph, r: int, budget: int) -> None:
-    """Refuse level r when its C(E, r) subsets pass ``budget``."""
-    size = math.comb(g.edge_count, r)
-    if size > budget:
-        raise BudgetExceededError(
-            f"level r = {r} needs {size} subsets, past the budget of {budget}"
-        )
-
-
 def find_nonadjacent_pair(
     g: Graph, r: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> WitnessPair | None:
     """Lexicographically first non-adjacent pair of r-subsets, if any.
 
-    ``None`` means the level is complete.  A level of more than
-    ``pair_budget`` subsets is refused with :class:`BudgetExceededError`.
+    ``None`` means the level is complete.  A walk that would read more than
+    ``pair_budget`` adjacency masks raises :class:`CapacityError`.
     """
     if not 1 <= r <= g.edge_count:
         raise ValueError(f"subset size {r} out of range 1..{g.edge_count}")
-    _charge(g, r, pair_budget)
-    return _first_witness(g, r)
+    return _first_witness(g, r, pair_budget)
 
 
 #: Bytes one step of the lemma DP may hold.  Each key, a (labels, flag)
@@ -387,18 +380,16 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
     ``r`` comes from the lemma in the module docstring, decided by
     :func:`_lemma_lc`; a DP that passes its byte budget raises
     :class:`CapacityError`.  For ``r >= 2`` level ``r - 1`` is then
-    scanned, the only level that is, for its lexicographically first
-    witness pair.  That level is charged its C(E, r - 1) subsets and
-    refused whole past ``pair_budget`` with :class:`BudgetExceededError`:
-    no value is reported without its witness.  A scan that finds no
-    witness contradicts the lemma DP, a bug in one of the two, and raises
-    ``AssertionError``.
+    walked, the only level that is, for its lexicographically first
+    witness pair.  A walk that would read more than ``pair_budget``
+    adjacency masks raises :class:`CapacityError` too: no value is reported
+    without its witness.  A walk that finds no witness contradicts the
+    lemma DP, a bug in one of the two, and raises ``AssertionError``.
     """
     r, _ = _lemma_lc(g)
     if r <= 1:
         return LcResult(r)
-    _charge(g, r - 1, pair_budget)
-    witness = _first_witness(g, r - 1)
+    witness = _first_witness(g, r - 1, pair_budget)
     if witness is None:
         raise AssertionError(f"the lemma gives lc = {r}, but level {r - 1} has no witness pair")
     return LcResult(r, witness)

@@ -29,7 +29,7 @@ from gridlc import (
 )
 import gridlc.graph
 from gridlc.cli import main
-from support import graphs
+from support import graphs, touching_pair_naive
 
 
 SRC = Path(gridlc.__file__).resolve().parent.parent
@@ -137,22 +137,32 @@ class TestLcBrute:
             "T = {e4, e6, e7, e8, e9, e18, e19, e20}\n"
         )
 
-    def test_grid_5x5_refused_under_default_budget(self, capsys):
-        code, out, err = run(capsys, "lc-brute", "--grid", "5", "5")
-        assert code == 3
-        assert out == ""
-        assert err == (
-            "error: level r = 16 needs 62852101650 subsets, past the budget of 16777216\n"
+    def test_grid_5x5_under_default_budget(self, capsys):
+        # Level 16 holds C(40, 16) = 62,852,101,650 subsets, but the walk
+        # reads 26 masks to its first hit.
+        code, out, _ = run(capsys, "lc-brute", "--grid", "5", "5")
+        assert code == 0
+        assert out == (
+            "lc = 17 (brute-force)\n"
+            "witness at r = 16: "
+            "S = {e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e20, e21, e22, e23, e24, e25}, "
+            "T = {e11, e12, e13, e14, e15, e16, e17, e18, e19, e33, e34, e35, e36, e37, e38, "
+            "e39}\n"
         )
 
-    def test_grid_6x6_decided_then_refused_on_the_budget(self, capsys):
-        # The DP decides lc = 28 within its byte budget, so the refusal names
-        # level 27, the witness level.
-        code, out, err = run(capsys, "lc-brute", "--grid", "6", "6")
-        assert (code, out) == (3, "")
-        assert err == (
-            "error: level r = 27 needs 88004802264174740 subsets, past the budget of 16777216\n"
+    def test_grid_6x6_under_default_budget(self, capsys):
+        # The DP decides lc = 28; the walk reads 42 masks to its first hit at
+        # level 27.  No scan of that level is feasible, so the pair is checked
+        # edge by edge.
+        code, out, _ = run(capsys, "lc-brute", "--grid", "6", "6")
+        S, T = (*range(15), *range(30, 42)), (*range(15, 30), *range(48, 60))
+        assert code == 0
+        assert out == (
+            "lc = 28 (brute-force)\n"
+            f"witness at r = 27: S = {{{', '.join(f'e{i}' for i in S)}}}, "
+            f"T = {{{', '.join(f'e{i}' for i in T)}}}\n"
         )
+        assert touching_pair_naive(grid(GridSpec(6, 6)), S, T) is None
 
     def test_largest_grid_refused_on_the_state_cap(self, capsys):
         # 181x181 is the largest grid admitted; the DP passes its byte
@@ -192,7 +202,7 @@ class TestLcBrute:
         # disagree: a bug, reported as such and never as an answer.
         import gridlc.superline
 
-        monkeypatch.setattr(gridlc.superline, "_first_witness", lambda g, r: None)
+        monkeypatch.setattr(gridlc.superline, "_first_witness", lambda g, r, budget: None)
         code, out, err = run(capsys, "lc-brute", "--grid", "3", "3")
         assert code == 4
         assert out == ""
@@ -608,7 +618,7 @@ FROZEN = [
     (["lc-brute", "--grid", "3", "3", "--pair-budget", "5"], 3, "", {}),
     (["lc-brute", "--grid", "181", "181"], 3, "", {}),
     (
-        ["lc-brute", "--grid", "4", "6", "--pair-budget", "28781143380"], 0,
+        ["lc-brute", "--grid", "4", "6"], 0,
         "lc = 18 (brute-force)\nwitness at r = 17: "
         "S = {e0, e1, e2, e3, e4, e5, e6, e7, e8, e18, e19, e20, e21, e22, e23, e24, e25}, "
         "T = {e9, e10, e11, e12, e13, e14, e15, e16, e17, e30, e31, e32, e33, e34, e35, e36, "
@@ -669,7 +679,12 @@ FROZEN = [
     ),
     (["xcheck", "--max-edges", "0"], 0, " cols rows edges formula oracle agree\n"
      "    1    1     0       0      0 yes\nall 1 grids agree\n", {}),
-    (["xcheck", "--max-edges", "12", "--pair-budget", "100"], 3, "", {}),
+    (
+        ["xcheck", "--max-edges", "12", "--pair-budget", "100"], 1,
+        "sha256:b1cf57aac0bd68c39014075c200b83200c73b59352734319531cca3710786899", {},
+    ),
+    # 3x3, the last grid, reads 40 masks to its first hit at level 4.
+    (["xcheck", "--max-edges", "12", "--pair-budget", "39"], 3, "", {}),
     (
         ["xcheck", "--max-edges", "5"], 0,
         " cols rows edges formula oracle agree\n"

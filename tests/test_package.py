@@ -94,6 +94,10 @@ class TestLazyPackage:
             gridlc.lc_path_formula  # noqa: B018
         with pytest.raises(ImportError):
             exec("from gridlc import FormulaCase", {})
+        # Every limit raises CapacityError; no separate budget error exists.
+        assert "BudgetExceededError" not in gridlc.__all__
+        with pytest.raises(ImportError):
+            exec("from gridlc import BudgetExceededError", {})
 
     def test_names_are_looked_up_in_the_defining_module(self, monkeypatch):
         # Nothing is cached in the package, so a name patched in its defining

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gridlc import (
     DEFAULT_PAIR_BUDGET,
-    BudgetExceededError,
     CapacityError,
     EdgeSet,
     Graph,
@@ -171,17 +169,20 @@ class TestFindNonadjacentPair:
             find_nonadjacent_pair(path(5), 5)
 
     def test_budget_error_is_distinct_from_absent(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(CapacityError):
             find_nonadjacent_pair(path(9), 3, pair_budget=1)
 
-    def test_budget_is_charged_the_whole_level(self):
-        # path(9) has 8 edges, so level 3 holds C(8, 3) = 56 subsets; the
-        # first of them already has a partner, but the level costs all 56.
+    def test_budget_is_the_masks_read_to_the_first_hit(self):
+        # path(9) has 8 edges; e0, e1, e2 is the first 3-subset and already
+        # has a partner, so the walk reads 3 masks, not the level's 56.
         g = path(9)
-        witness = find_nonadjacent_pair(g, 3, pair_budget=56)
+        witness = find_nonadjacent_pair(g, 3, pair_budget=3)
         assert (witness.S.indices(), witness.T.indices()) == find_pair_naive(g, 3)
-        with pytest.raises(BudgetExceededError):
-            find_nonadjacent_pair(g, 3, pair_budget=55)
+        with pytest.raises(CapacityError) as info:
+            find_nonadjacent_pair(g, 3, pair_budget=2)
+        assert str(info.value) == (
+            "the witness walk at level r = 3 reads more than the budget of 2 masks"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_edges=7, min_edges=1), st.data())
@@ -252,11 +253,12 @@ class TestPrunedWalk:
 
     @pytest.mark.parametrize("cols, rows, r", [(4, 5, 13), (3, 7, 13), (5, 5, 16)])
     def test_equals_scan_at_lc_minus_one_past_the_default_budget(self, cols, rows, r):
+        # Each level holds more than 2^24 subsets, yet its walk fits the
+        # default budget of 2^24 mask reads.
         g = grid(GridSpec(cols, rows))
         assert _lemma_lc(g)[0] == r + 1
-        budget = math.comb(g.edge_count, r)
-        assert budget > DEFAULT_PAIR_BUDGET
-        witness = find_nonadjacent_pair(g, r, pair_budget=budget)
+        assert math.comb(g.edge_count, r) > DEFAULT_PAIR_BUDGET
+        witness = find_nonadjacent_pair(g, r)
         assert witness == first_witness_scan(g, r)
         if (cols, rows) == (5, 5):
             assert witness.S.indices() == (*range(10), *range(20, 26))
@@ -280,6 +282,19 @@ class TestPrunedWalk:
         witness, reads = self.counted(2, 8, 10)
         assert witness.S.indices() == (0, 1, 2, 3, 8, 9, 10, 11, 12, 13)
         assert reads <= 1_000
+
+    @pytest.mark.parametrize("g", [grid(GridSpec(2, 9)), path(27)], ids=["2x9", "path27"])
+    def test_default_budget_decides_every_level_of_25_and_26_edges(self, g):
+        # No level of these graphs holds more subsets than the default
+        # budget (C(26, 13) = 10,400,600), so none may be refused.  path(27)
+        # reads the most, at level 13: 1,072,447 masks.
+        reads = []
+        for r in range(1, g.edge_count + 1):
+            masks = g.__dict__["edge_adjacency"] = CountingMasks(g.edge_adjacency)
+            witness = find_nonadjacent_pair(g, r)
+            # WitnessPair's re-check reads r masks of its own.
+            reads.append(masks.reads - (r if witness else 0))
+        assert max(reads) < DEFAULT_PAIR_BUDGET
 
     def test_walk_depth_is_not_bounded_by_recursion(self):
         # 1,500 disjoint edges: the walk goes 1,499 prefixes deep, past
@@ -328,30 +343,23 @@ class TestLcBruteforce:
         assert lc_bruteforce(grid(GridSpec(2, 3))).r == 3
 
     def test_budget_refusal_reports_no_value(self):
-        # The DP decides lc = 5 before any scan, but no value is reported
-        # without its witness, so a refused scan raises.
-        with pytest.raises(BudgetExceededError):
+        # The DP decides lc = 5 before any walk, but no value is reported
+        # without its witness, so a refused walk raises.
+        with pytest.raises(CapacityError):
             lc_bruteforce(grid(GridSpec(3, 3)), pair_budget=10)
 
-    def test_budget_is_the_sum_of_the_scanned_levels(self):
-        # lc(3x3) = 5, and level 4 of its 12 edges is the only one scanned.
-        g = grid(GridSpec(3, 3))
-        assert math.comb(12, 4) == 495
-        assert lc_bruteforce(g, pair_budget=495).r == 5
-        with pytest.raises(BudgetExceededError) as info:
-            lc_bruteforce(g, pair_budget=494)
-        assert str(info.value) == "level r = 4 needs 495 subsets, past the budget of 494"
-
-    def test_default_budget_refuses_5x5_at_level_16(self):
-        # The DP decides lc = 17 first (about 0.5 s of CPU, so the bound is
-        # no longer the 0.1 s of an up-front refusal); then level 16 alone
-        # costs C(40, 16) = 62,852,101,650 subsets, past 2^24 = 16,777,216.
-        started = time.process_time()
-        with pytest.raises(BudgetExceededError) as info:
-            lc_bruteforce(grid(GridSpec(5, 5)))
-        assert time.process_time() - started < 5
+    def test_budget_is_the_masks_the_witness_walk_reads(self):
+        # lc(2x12) = 17; the walk reads 5,559 masks to its first hit at
+        # level 16, which holds C(34, 16) = 2,203,961,430 subsets.
+        # The pair is first_witness_scan's, which takes about 30 s of CPU.
+        g = grid(GridSpec(2, 12))
+        witness = lc_bruteforce(g, pair_budget=5_559).witness_at_r_minus_1
+        assert witness.S.indices() == (*range(6), *range(12, 22))
+        assert witness.T.indices() == (*range(6, 12), *range(24, 34))
+        with pytest.raises(CapacityError) as info:
+            lc_bruteforce(g, pair_budget=5_558)
         assert str(info.value) == (
-            "level r = 16 needs 62852101650 subsets, past the budget of 16777216"
+            "the witness walk at level r = 16 reads more than the budget of 5558 masks"
         )
 
     @pytest.mark.parametrize(
@@ -502,7 +510,9 @@ class TestLemmaDP:
         scanned = []
         scan = superline._first_witness
         monkeypatch.setattr(
-            superline, "_first_witness", lambda g, r: scanned.append(r) or scan(g, r)
+            superline,
+            "_first_witness",
+            lambda g, r, budget: scanned.append(r) or scan(g, r, budget),
         )
         assert lc_bruteforce(grid(GridSpec(4, 4))).r == 11
         assert scanned == [10]
