@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 bad
-arguments or malformed input, 3 a size cap or the witness walk's budget of
-mask reads was hit, 4 an internal error, a bug in gridlc, reported on one
-``internal error:`` line.  A reader that closes stdout early
-(``gridlc slice ... | head``) does not change the exit code.
+arguments or malformed input, 3 a size cap, the lc DP's byte budget or the
+witness walk's budget of mask reads was hit, 4 an internal error, a bug in
+gridlc, reported on one ``internal error:`` line.  A reader that closes
+stdout early (``gridlc slice ... | head``) does not change the exit code.
 
 Each ``_cmd_*`` handler returns its exit code, its JSON payload and its
 text lines, built from the same values; ``main`` prints the payload under
@@ -148,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, object, list[str]]:
 def _cmd_xcheck(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .formula import lc_grid_formula
     from .graph import GridSpec, grid
-    from .superline import lc_bruteforce
+    from .superline import _lemma_lc
 
     if args.max_edges < 0:
         raise ValueError("--max-edges must be non-negative")
@@ -164,7 +164,7 @@ def _cmd_xcheck(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     grids, lines, mismatches = [], [" cols rows edges formula oracle agree"], []
     for edges, cols, rows in specs:
         formula, _ = lc_grid_formula(cols, rows)
-        oracle = lc_bruteforce(grid(GridSpec(cols, rows)), pair_budget=args.pair_budget).r
+        oracle, _ = _lemma_lc(grid(GridSpec(cols, rows)))
         agree = formula == oracle
         grids.append(
             {"cols": cols, "rows": rows, "edges": edges,
@@ -193,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     output_parent.add_argument(
         "--output", choices=("text", "json"), default="text", help="stdout format"
     )
-    budget_parent = argparse.ArgumentParser(add_help=False)
-    budget_parent.add_argument(
-        "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on the adjacency masks the witness walk at level lc - 1 reads, "
-        "per grid in xcheck; the default decides every graph with at most 24 edges",
-    )
 
     p = sub.add_parser(
         "lc-formula", parents=[output_parent], help="closed-form lc of a grid"
@@ -208,12 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lc_formula)
 
     p = sub.add_parser(
-        "lc-brute", parents=[output_parent, budget_parent], help="brute-force lc of a graph"
+        "lc-brute", parents=[output_parent], help="brute-force lc of a graph"
     )
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="edge-list file")
     source.add_argument("--grid", type=int, nargs=2, metavar=("COLS", "ROWS"))
     source.add_argument("--path", type=_positive_int, metavar="K")
+    p.add_argument(
+        "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
+        help="cap on the adjacency masks the witness walk at level lc - 1 reads; "
+        "the default decides every graph with at most 24 edges",
+    )
     p.set_defaults(handler=_cmd_lc_brute)
 
     p = sub.add_parser(
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(
-        "xcheck", parents=[output_parent, budget_parent],
+        "xcheck", parents=[output_parent],
         help="compare oracle and formula on every small grid",
     )
     p.add_argument("--max-edges", type=int, required=True)

@@ -230,7 +230,7 @@ _BYTE_BUDGET = 2**26
 _KEY_BYTES = 100
 
 
-# Frontier labels of the lemma DP, two bits per frontier position.
+# Frontier labels of the lemma DP, two bits per frontier vertex.
 _DONE, _REST, _X, _Y = range(4)
 
 
@@ -247,8 +247,12 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     vertices that tie on the rest.
 
     Each frontier vertex is labelled X, Y, rest that may still be matched
-    to a later neighbour, or rest that is done (matched already).  An edge
-    joins E[X], E[Y] or the matching when its later endpoint is visited.
+    to a later neighbour, or rest that is done (matched already), in a
+    2-bit field of the labels int at a fixed offset until it leaves the
+    frontier.  Then the field is cleared and the offset freed for reuse: a
+    vertex that stays takes the lowest free offset.  All labellings of a
+    step share the offsets, so keys stay in bijection with labellings.  An
+    edge joins E[X], E[Y] or the matching when its later endpoint is visited.
     The DP keeps one entry per labelling of the frontier: a pair of point
     sets, one for each value of a flag recording that E[X] or E[Y] is
     nonempty; a key is a (labels, flag) pair whose set is nonempty.  The
@@ -298,36 +302,28 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
 
     width = g.edge_count + 1
     decided = 0
-    frontier: list[int] = []
+    slot: dict[int, int] = {}  # frontier vertex -> offset of its label's 2 bits
     states = {0: (1, 0)}  # labels -> (bitset without the flag, bitset with it)
     peak = 0
     for step in range(1, len(neighbours) + 1):
-        if frontier:
-            v = min({u for w in frontier for u in neighbours[w] if u not in visited}, key=rank)
+        if slot:
+            v = min({u for w in slot for u in neighbours[w] if u not in visited}, key=rank)
         else:
             v = next(u for u in fresh if u not in visited)
         visited.add(v)
-        slot = {u: p for p, u in enumerate(frontier)}
-        earlier = [slot[u] for u in neighbours[v] if u in slot]
+        earlier = [u for u in neighbours[v] if u in slot]
         for u in neighbours[v]:
             unvisited[u] -= 1
-        leaving = sorted(p for p in earlier if unvisited[frontier[p]] == 0)
-        frontier = [u for u in frontier if unvisited[u]]
-        # Surviving labels are compacted by (mask, shift) segments between the
-        # leaving slots.  A match on earlier slot p flips its compacted field
-        # from rest to done, or nothing when p leaves.
-        segments, low = [], 0
-        for k, p in enumerate(leaving):
-            segments.append(((1 << 2 * p) - (1 << low), 2 * k))
-            low = 2 * p + 2
-        segments.append((-(1 << low), 2 * len(leaving)))
-        reads = [
-            (2 * p, 0 if p in leaving else _REST << 2 * (p - sum(q < p for q in leaving)))
-            for p in earlier
-        ]
-        # v's own label goes to the next free position, or nowhere when v
-        # has no unvisited neighbour left.
-        place = (unvisited[v] > 0) << 2 * len(frontier)
+        # A match on earlier vertex u flips its field from rest to done, or
+        # nothing when u leaves: its field is cleared and its offset freed.
+        reads = [(slot[u], _REST << slot[u] if unvisited[u] else 0) for u in earlier]
+        clear = sum(3 << slot.pop(u) for u in earlier if not unvisited[u])
+        # v's own label takes the lowest free offset, or none when v has no
+        # unvisited neighbour left.
+        place = 0
+        if unvisited[v]:
+            slot[v] = min(set(range(0, 2 * len(slot) + 1, 2)) - set(slot.values()))
+            place = 1 << slot[v]
         # A point's a and b count closed edges, so its bit is below
         # (decided + 1) * W: the bitsets this step may hold within the budget.
         decided += len(earlier)
@@ -336,9 +332,7 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         count = 0
         put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
         for labels, (p0, p1) in states.items():
-            kept = 0
-            for mask, shift in segments:
-                kept |= (labels & mask) >> shift
+            kept = labels & ~clear
             plain, flagged = (p0, p1), (0, p0 | p1)
             moves = [(kept | put_rest, 0, plain)]
             nx = ny = 0
@@ -363,8 +357,6 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                     f"at vertex {step} of {len(neighbours)}"
                 )
         peak = max(peak, count)
-        if place:
-            frontier.append(v)
         states = new
     # Any edge can be X, so the final key with the flag exists.  Row a of
     # its bitset holds the b of its points; the best is min(a, largest b).

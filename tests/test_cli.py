@@ -28,6 +28,7 @@ from gridlc import (
     write_edge_list,
 )
 import gridlc.graph
+import gridlc.superline
 from gridlc.cli import main
 from support import graphs, touching_pair_naive
 
@@ -200,8 +201,6 @@ class TestLcBrute:
     def test_internal_error_exit_4(self, capsys, monkeypatch):
         # A level lc - 1 without a witness means the lemma DP and the scan
         # disagree: a bug, reported as such and never as an answer.
-        import gridlc.superline
-
         monkeypatch.setattr(gridlc.superline, "_first_witness", lambda g, r, budget: None)
         code, out, err = run(capsys, "lc-brute", "--grid", "3", "3")
         assert code == 4
@@ -463,18 +462,32 @@ class TestXcheck:
         assert "MISMATCH" in out
         assert "3x3" in out
 
-    def test_refused_grid_ends_the_sweep_before_larger_grids_are_listed(self, capsys):
+    def test_refused_grid_ends_the_sweep_before_larger_grids_are_listed(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(gridlc.superline, "_BYTE_BUDGET", 2**14)
         tracemalloc.start()
         try:
-            code, out, err = run(capsys, "xcheck", "--max-edges", "100000", "--pair-budget", "1000")
+            code, out, err = run(capsys, "xcheck", "--max-edges", "100000")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "budget of 1000" in err
+        assert "needs more than 16384 bytes" in err
         assert peak < 4 * 2**20
+
+    def test_sweep_to_64_edges_flags_only_3x3(self, capsys):
+        # The lc DP alone decides every grid with at most 64 edges, wide
+        # ones such as 6x5 and 2x22 included, in about a second.
+        code, out, _ = run(capsys, "xcheck", "--max-edges", "64")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1 + 208 + 1
+        assert [line for line in lines if "MISMATCH" in line] == [
+            "MISMATCH: 3x3 grid has formula 4 but oracle 5"
+        ]
 
 
 # JSON values of every type, nested, to put in place of a field.
@@ -588,6 +601,12 @@ class TestParsing:
             main(["lc-brute", "--path", "5", "--pair-budget", "0"])
         assert info.value.code == 2
 
+    def test_xcheck_takes_no_budget(self):
+        # xcheck reads lc from the DP alone and walks for no witness.
+        with pytest.raises(SystemExit) as info:
+            main(["xcheck", "--max-edges", "12", "--pair-budget", "39"])
+        assert info.value.code == 2
+
 
 # Every command's stdout, byte for byte, with its exit code and the files it
 # writes.  Long outputs are stored as their SHA-256.  Each case runs in a
@@ -679,12 +698,6 @@ FROZEN = [
     ),
     (["xcheck", "--max-edges", "0"], 0, " cols rows edges formula oracle agree\n"
      "    1    1     0       0      0 yes\nall 1 grids agree\n", {}),
-    (
-        ["xcheck", "--max-edges", "12", "--pair-budget", "100"], 1,
-        "sha256:b1cf57aac0bd68c39014075c200b83200c73b59352734319531cca3710786899", {},
-    ),
-    # 3x3, the last grid, reads 40 masks to its first hit at level 4.
-    (["xcheck", "--max-edges", "12", "--pair-budget", "39"], 3, "", {}),
     (
         ["xcheck", "--max-edges", "5"], 0,
         " cols rows edges formula oracle agree\n"
