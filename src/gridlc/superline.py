@@ -279,6 +279,18 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     nu(G) <= 1 no labelling has both sides nonempty, every flagged one
     scores 0, and lc = 1 as the lemma says.
 
+    A labelling's moves depend only on the fields of v's earlier
+    neighbours, its read signature ``labels & sigmask``.  A move is a
+    (delta, shift) pair whose target is the labelling with the leaving
+    fields cleared, plus delta: v's field for a rest, X or Y move, minus
+    u's rest bit for a match on u, or 0 when u leaves.  A step works out
+    the moves of each signature once, as the moves that keep the flag and
+    those that set it, so ``p0 | p1`` is built only for a labelling with a
+    move that sets it.  The step keeps these in a table only while
+    4 ** (fields read) <= (labellings), so the table never outgrows the
+    states.  On a dense step, as on K_10, nearly every labelling has a
+    signature of its own, and the same code works out its moves unstored.
+
     The keys of a step are charged as ``_BYTE_BUDGET`` says, checked after
     each labelling's moves; past the budget the DP raises
     :class:`CapacityError`.  The peak counted is of the same keys.
@@ -317,7 +329,7 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         # A match on earlier vertex u flips its field from rest to done, or
         # nothing when u leaves: its field is cleared and its offset freed.
         reads = [(slot[u], _REST << slot[u] if unvisited[u] else 0) for u in earlier]
-        clear = sum(3 << slot.pop(u) for u in earlier if not unvisited[u])
+        keep = ~sum(3 << slot.pop(u) for u in earlier if not unvisited[u])
         # v's own label takes the lowest free offset, or none when v has no
         # unvisited neighbour left.
         place = 0
@@ -331,26 +343,50 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         new: dict[int, tuple[int, int]] = {}
         count = 0
         put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
+        sigmask = sum(3 << shift for shift, _ in reads)
+        # Read signature -> (moves that keep the flag, moves that set it),
+        # each a (delta, shift) list; kept only while it cannot outgrow states.
+        table: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
+        store = 4 ** len(reads) <= len(states)
         for labels, (p0, p1) in states.items():
-            kept = labels & ~clear
-            plain, flagged = (p0, p1), (0, p0 | p1)
-            moves = [(kept | put_rest, 0, plain)]
-            nx = ny = 0
-            for shift, unmatch in reads:
-                label = labels >> shift & 3
-                if label == _X:
-                    nx += 1
-                elif label == _Y:
-                    ny += 1
-                elif label == _REST:
-                    moves.append((kept ^ unmatch, width + 1, plain))
-            # A move that sets the flag sends both bitsets to the flagged one.
-            moves.append((kept | put_x, nx * width, flagged if nx else plain))
-            moves.append((kept | put_y, ny, flagged if ny else plain))
-            for target, shift, (q0, q1) in moves:
-                e0, e1 = new.get(target, (0, 0))
-                new[target] = e0 | q0 << shift, e1 | q1 << shift
-                count += (not e0 and q0 > 0) + (not e1 and q1 > 0)
+            sig = labels & sigmask
+            moves = table.get(sig)
+            if moves is None:
+                moves = plain, flagging = [(put_rest, 0)], []
+                nx = ny = 0
+                for shift, unmatch in reads:
+                    label = sig >> shift & 3
+                    if label == _X:
+                        nx += 1
+                    elif label == _Y:
+                        ny += 1
+                    elif label == _REST:
+                        plain.append((-unmatch, width + 1))
+                (flagging if nx else plain).append((put_x, nx * width))
+                (flagging if ny else plain).append((put_y, ny))
+                if store:
+                    table[sig] = moves
+            kept = labels & keep
+            plain, flagging = moves
+            nonempty = (p0 > 0) + (p1 > 0)
+            for delta, shift in plain:
+                target = kept + delta
+                entry = new.get(target)
+                if entry is None:
+                    new[target] = p0 << shift, p1 << shift
+                    count += nonempty
+                else:
+                    e0, e1 = entry
+                    new[target] = e0 | p0 << shift, e1 | p1 << shift
+                    count += (not e0 and p0 > 0) + (not e1 and p1 > 0)
+            if flagging:
+                # A move that sets the flag sends both bitsets to the flagged one.
+                both = p0 | p1
+                for delta, shift in flagging:
+                    target = kept + delta
+                    e0, e1 = new.get(target, (0, 0))
+                    new[target] = e0, e1 | both << shift
+                    count += not e1
             if count > most:
                 raise CapacityError(
                     f"the lc dynamic program needs more than {_BYTE_BUDGET} bytes "

@@ -462,6 +462,18 @@ class TestXcheck:
         assert "MISMATCH" in out
         assert "3x3" in out
 
+    def test_transposes_share_one_dp_run(self, capsys, monkeypatch):
+        # A grid and its transpose are isomorphic: 31 rows, 17 shapes.
+        decide = gridlc.superline._lemma_lc
+        decided = []
+        monkeypatch.setattr(
+            gridlc.superline, "_lemma_lc", lambda g: decided.append(g) or decide(g)
+        )
+        code, out, _ = run(capsys, "xcheck", "--max-edges", "12")
+        assert code == 1
+        assert len(out.splitlines()) == 1 + 31 + 1
+        assert len(decided) == len(set(decided)) == 17
+
     def test_refused_grid_ends_the_sweep_before_larger_grids_are_listed(
         self, capsys, monkeypatch
     ):

@@ -448,6 +448,32 @@ class TestLemmaDP:
         assert _lemma_lc(g) == (11, 131_328)
 
     @pytest.mark.parametrize(
+        "vertices, edges, peak",
+        [
+            (9, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (6, 7), (7, 8)], 258),
+            (7, [(0, k) for k in range(1, 7)] + [(k, k + 1) for k in range(1, 6)] + [(1, 6)], 113),
+        ],
+        ids=["K_5 with a pendant path", "wheel on 7 vertices"],
+    )
+    def test_dense_and_sparse_steps_in_one_run(self, vertices, edges, peak):
+        # Some steps of these runs read few enough labels to keep a move
+        # table per read signature, and some read too many and keep none.
+        g = Graph.from_edges(vertices, edges)
+        assert _lemma_lc(g) == (lc_lemma_naive(g), peak)
+
+    def test_dense_steps_keep_no_move_table(self):
+        # On K_8 most labellings have a read signature of their own; a move
+        # table kept for each of them would more than treble this peak.
+        g = Graph.from_edges(8, itertools.combinations(range(8), 2))
+        tracemalloc.start()
+        try:
+            assert _lemma_lc(g) == (7, 8_256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
         "cols, rows, peak",
         [(6, 6, 7_674), (5, 10, 1_914), (6, 8, 7_674)],
         ids=["6x6", "5x10", "6x8"],
