@@ -217,17 +217,19 @@ def find_nonadjacent_pair(
     return _first_witness(g, r, pair_budget)
 
 
-#: Bytes one step of the lemma DP may hold.  Each key, a (labels, flag)
-#: pair with a nonempty bitset, is charged ``_KEY_BYTES`` plus its bitset's
+#: Bytes one step of the lemma DP may hold.  Each nonempty bitset of an
+#: entry, the transposed one included, is charged ``_KEY_BYTES`` plus its
 #: bound of (decided + 1) * W bits, at 4 bytes for every 30 bits.  By
-#: ``sys.getsizeof`` an entry (its dict slot, its labels int, its pair and
-#: the int headers of its nonzero bitsets) takes about 165 bytes: 88 a key
-#: when both flags' bitsets are set, as in most grid entries, and 148 when
-#: one is, as in every K_10 entry.  The 7x7 grid, the 6x20 grid and K_10
-#: are decided; the 181x181 grid and K_12 pass the budget within their
-#: first 11 vertices, under 100 MB of RSS each.
+#: ``sys.getsizeof`` an entry (its dict slot, its labels int, its 3-tuple and
+#: the 24-byte int headers of its nonzero bitsets) takes 178 to 205 bytes at
+#: the peaks of 4x4 to 7x7, 6x20 and K_10 and at the 8x8 and K_12 refusals:
+#: 68 a bitset on the grids, whose entries hold about 2.9 bitsets, and 92 on
+#: K_10 and K_12, whose entries hold the flagged pair alone.  The charge is
+#: the larger.  The 7x7 grid, the 6x20 grid and K_10 are decided; the
+#: 181x181 grid and K_12 pass the budget within their first 11 vertices,
+#: under 100 MB of RSS each.
 _BYTE_BUDGET = 2**26
-_KEY_BYTES = 100
+_KEY_BYTES = 92
 
 
 # Frontier labels of the lemma DP, two bits per frontier vertex.
@@ -235,7 +237,7 @@ _DONE, _REST, _X, _Y = range(4)
 
 
 def _lemma_lc(g: Graph) -> tuple[int, int]:
-    """lc(g) by a frontier DP over the lemma, and the DP's peak key count.
+    """lc(g) by a frontier DP over the lemma, and the DP's peak bitset count.
 
     The vertices that have edges are visited one at a time.  The frontier
     is the set of visited vertices that still have an unvisited neighbour.
@@ -251,25 +253,58 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     2-bit field of the labels int at a fixed offset until it leaves the
     frontier.  Then the field is cleared and the offset freed for reuse: a
     vertex that stays takes the lowest free offset.  All labellings of a
-    step share the offsets, so keys stay in bijection with labellings.  An
-    edge joins E[X], E[Y] or the matching when its later endpoint is visited.
-    The DP keeps one entry per labelling of the frontier: a pair of point
-    sets, one for each value of a flag recording that E[X] or E[Y] is
-    nonempty; a key is a (labels, flag) pair whose set is nonempty.  The
-    set holds the points (a, b) reached by the labellings of the visited
-    vertices that end in those labels with that flag, with
-    a = |E[X]| + matched and b = |E[Y]| + matched, kept as one int whose
-    bit a * W + b is set for each point, W = E + 1.  A move shifts a whole
-    set: an X move by nx * W, a Y move by ny, a match by W + 1, rest by 0.
-    A move that sets the flag (X with nx > 0, Y with ny > 0) sends the union
-    of both sets to the target's flagged set; any other move sends each set
-    to the target's set of the same flag.  Sets that reach one key are
-    merged with ``|``.  Both a and b count closed edges, so b <= E < W and
-    no row runs into the next.
+    step share the offsets, so a labelling is one int.  An edge joins E[X],
+    E[Y] or the matching when its later endpoint is visited.  For each
+    labelling L of the frontier the DP tracks two point sets, one for each
+    value of a flag recording that E[X] or E[Y] is nonempty.  The set holds
+    the points (a, b) reached by the labellings of the visited vertices that
+    end in L with that flag, with a = |E[X]| + matched and
+    b = |E[Y]| + matched, kept as one int whose bit a * W + b is set for each
+    point, W = E + 1.  A move shifts a whole set: an X move by nx * W, a Y
+    move by ny, a match by W + 1, rest by 0.  A move that sets the flag (X
+    with nx > 0, Y with ny > 0) sends the union of both sets to the target's
+    flagged set; any other move sends each set to the target's set of the
+    same flag.  Sets that reach one labelling are merged with ``|``.  Both a
+    and b count closed edges, so b <= E < W and no row runs into the next.
     Every set bit is the point of a real labelling and every labelling's
-    point is set, so the largest min(a, b) over the final key is the
+    point is set, so the largest min(a, b) over the final labelling is the
     lemma's maximum exactly; a point that another dominates is kept, but
     it cannot raise that maximum, so no pruning is needed.
+
+    Swapping X and Y maps the labellings that end in L one to one onto those
+    that end in mirror(L) = L ^ (L >> 1 & ones), ones the low bit of every
+    field, and each point (a, b) to (b, a); DONE and REST stay.  So L and
+    mirror(L) share one entry, under the key K = min(L, mirror(L)): a triple
+    (p0, p1, q1) of K's unflagged set, K's flagged set, and the transpose of
+    K's flagged set.  The invariant is that after each step every entry is
+    exactly this, for both labellings: p0 is mirror(K)'s unflagged set too,
+    and q1 is mirror(K)'s flagged set.  A key with no X or Y field is its
+    own mirror, so its flagged set is symmetric and p1 = q1.  It holds at
+    the start, where the one key 0 holds p0 = {(0, 0)} and no flagged
+    point.  Three facts carry it through a step:
+
+    - p0 is diagonal.  An unflagged labelling has no X or Y edge, so
+      a = b = matched, and p0 is its own transpose.
+    - The plain shifts are symmetric.  A rest, a match, and an X or Y move
+      with nx = 0 or ny = 0 shift by 0 or W + 1, so each commutes with the
+      transpose, and p0 stays diagonal.  A flag-setting X move shifts by
+      s = nx * W, and the transpose of (p << s) is (transposed p) << nx.
+    - min(a, b) is symmetric, so a labelling and its mirror score alike,
+      and the answer read from one orientation is the lemma's maximum.
+
+    The moves of mirror(K) are the mirror images of the moves of K: a move
+    of K to T by shift s is matched by one of mirror(K) to mirror(T) by the
+    transposed shift.  So the step works out K's moves alone.  For each, T
+    gains p0 << s and p1 << s (a plain move), or (p0 | p1) << s flagged
+    (one that sets the flag).  By the facts above mirror(T) gains p0 << s
+    too, and the transpose of the flagged part: q1 << s, or (p0 | q1) << s'
+    with s' the transposed shift, nx for an X move and ny * W for a Y move.
+    Both go to the key min(T, mirror(T)) in its orientation: as they are
+    when T is the key, swapped when mirror(T) is, and united in both slots
+    when T is its own mirror, where the two labellings are one.  Every
+    labelling's moves are covered, so the invariant holds after the step.
+    The final labelling, with no field left, is its own mirror, and its p1
+    holds every flagged point; the answer is read from it.
 
     The flag does not tell the two sides apart.  A flagged labelling with
     one side empty scores its matched count, a matching of G - u - v for any
@@ -280,20 +315,24 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     scores 0, and lc = 1 as the lemma says.
 
     A labelling's moves depend only on the fields of v's earlier
-    neighbours, its read signature ``labels & sigmask``.  A move is a
-    (delta, shift) pair whose target is the labelling with the leaving
-    fields cleared, plus delta: v's field for a rest, X or Y move, minus
-    u's rest bit for a match on u, or 0 when u leaves.  A step works out
-    the moves of each signature once, as the moves that keep the flag and
-    those that set it, so ``p0 | p1`` is built only for a labelling with a
-    move that sets it.  The step keeps these in a table only while
-    4 ** (fields read) <= (labellings), so the table never outgrows the
-    states.  On a dense step, as on K_10, nearly every labelling has a
-    signature of its own, and the same code works out its moves unstored.
+    neighbours, its read signature ``labels & sigmask``.  A move's target is
+    the labelling with the leaving fields cleared, plus a delta: v's field
+    for a rest, X or Y move, minus u's rest bit for a match on u, or 0 when
+    u leaves.  Its mirrored target is the mirrored labelling, so cleared,
+    plus the mirrored delta.  A step works out the moves of each signature
+    once, as (delta, mirrored delta, shift, transposed shift), split into
+    the moves that keep the flag and those that set it, so ``p0 | p1`` is
+    built only for a labelling with a move that sets it.  The step keeps
+    these in a table only while 4 ** (fields read) <= (keys), so the table
+    never outgrows the states.  On a dense step, as on K_10, nearly every
+    key has a signature of its own, and the same code works out its moves
+    unstored.
 
-    The keys of a step are charged as ``_BYTE_BUDGET`` says, checked after
-    each labelling's moves; past the budget the DP raises
-    :class:`CapacityError`.  The peak counted is of the same keys.
+    Each nonempty p0, p1 and q1 of a step counts as one bitset, p1 and q1
+    both even where they are equal.  The bitsets are charged as
+    ``_BYTE_BUDGET`` says, checked after each key's moves; past the budget
+    the DP raises :class:`CapacityError`.  The peak counted is of the same
+    bitsets.
     """
     if not g.edges:
         return 0, 0
@@ -315,7 +354,8 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     width = g.edge_count + 1
     decided = 0
     slot: dict[int, int] = {}  # frontier vertex -> offset of its label's 2 bits
-    states = {0: (1, 0)}  # labels -> (bitset without the flag, bitset with it)
+    # min(labels, mirror) -> (unflagged points, flagged points, flagged transposed)
+    states = {0: (1, 0, 0)}
     peak = 0
     for step in range(1, len(neighbours) + 1):
         if slot:
@@ -336,23 +376,26 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
         if unvisited[v]:
             slot[v] = min(set(range(0, 2 * len(slot) + 1, 2)) - set(slot.values()))
             place = 1 << slot[v]
+        # The low bit of every field: labels ^ (labels >> 1 & ones) swaps X and Y.
+        ones = sum(1 << offset for offset in slot.values())
         # A point's a and b count closed edges, so its bit is below
         # (decided + 1) * W: the bitsets this step may hold within the budget.
         decided += len(earlier)
         most = _BYTE_BUDGET // (_KEY_BYTES + (decided + 1) * width // 30 * 4)
-        new: dict[int, tuple[int, int]] = {}
+        new: dict[int, tuple[int, int, int]] = {}
         count = 0
         put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
         sigmask = sum(3 << shift for shift, _ in reads)
         # Read signature -> (moves that keep the flag, moves that set it),
-        # each a (delta, shift) list; kept only while it cannot outgrow states.
-        table: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
+        # each a (delta, mirrored delta, shift, transposed shift) list; kept
+        # only while it cannot outgrow states.
+        table: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
         store = 4 ** len(reads) <= len(states)
-        for labels, (p0, p1) in states.items():
+        for labels, (p0, p1, q1) in states.items():
             sig = labels & sigmask
             moves = table.get(sig)
             if moves is None:
-                moves = plain, flagging = [(put_rest, 0)], []
+                moves = plain, flagging = [(put_rest, put_rest, 0, 0)], []
                 nx = ny = 0
                 for shift, unmatch in reads:
                     label = sig >> shift & 3
@@ -361,32 +404,47 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                     elif label == _Y:
                         ny += 1
                     elif label == _REST:
-                        plain.append((-unmatch, width + 1))
-                (flagging if nx else plain).append((put_x, nx * width))
-                (flagging if ny else plain).append((put_y, ny))
+                        plain.append((-unmatch, -unmatch, width + 1, width + 1))
+                (flagging if nx else plain).append((put_x, put_y, nx * width, nx))
+                (flagging if ny else plain).append((put_y, put_x, ny, ny * width))
                 if store:
                     table[sig] = moves
             kept = labels & keep
+            mkept = kept ^ (kept >> 1 & ones)
             plain, flagging = moves
-            nonempty = (p0 > 0) + (p1 > 0)
-            for delta, shift in plain:
-                target = kept + delta
+            for delta, mdelta, shift, _ in plain:
+                target, mirror = kept + delta, mkept + mdelta
+                if target < mirror:
+                    a, b = p1, q1
+                elif target > mirror:
+                    target, a, b = mirror, q1, p1
+                else:
+                    a = b = p1 | q1
+                a0 = p0
+                # A shift by 0 still copies the int, as dear as any shift.
+                if shift:
+                    a0, a, b = a0 << shift, a << shift, b << shift
                 entry = new.get(target)
                 if entry is None:
-                    new[target] = p0 << shift, p1 << shift
-                    count += nonempty
+                    new[target] = a0, a, b
+                    count += (a0 > 0) + 2 * (a > 0)
                 else:
-                    e0, e1 = entry
-                    new[target] = e0 | p0 << shift, e1 | p1 << shift
-                    count += (not e0 and p0 > 0) + (not e1 and p1 > 0)
+                    e0, e1, f1 = entry
+                    new[target] = e0 | a0, e1 | a, f1 | b
+                    count += (not e0 and a0 > 0) + 2 * (not e1 and a > 0)
             if flagging:
-                # A move that sets the flag sends both bitsets to the flagged one.
-                both = p0 | p1
-                for delta, shift in flagging:
-                    target = kept + delta
-                    e0, e1 = new.get(target, (0, 0))
-                    new[target] = e0, e1 | both << shift
-                    count += not e1
+                # A move that sets the flag sends the unflagged points too.
+                both, mboth = p0 | p1, p0 | q1
+                for delta, mdelta, shift, mshift in flagging:
+                    target, mirror = kept + delta, mkept + mdelta
+                    a, b = both << shift, mboth << mshift
+                    if target > mirror:
+                        target, a, b = mirror, b, a
+                    elif target == mirror:
+                        a = b = a | b
+                    e0, e1, f1 = new.get(target, (0, 0, 0))
+                    new[target] = e0, e1 | a, f1 | b
+                    count += 2 * (not e1)
             if count > most:
                 raise CapacityError(
                     f"the lc dynamic program needs more than {_BYTE_BUDGET} bytes "
@@ -394,7 +452,7 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
                 )
         peak = max(peak, count)
         states = new
-    # Any edge can be X, so the final key with the flag exists.  Row a of
+    # Any edge can be X, so the final flagged set is nonempty.  Row a of
     # its bitset holds the b of its points; the best is min(a, largest b).
     points = states[0][1]
     row = (1 << width) - 1

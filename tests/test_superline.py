@@ -442,22 +442,41 @@ class TestLemmaDP:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5)])
         assert _lemma_lc(g)[0] == lc_lemma_naive(g) == 2
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            random_simple_graphs(300, max_edges=12),
+            [Graph.from_edges(n + 1, [(0, k) for k in range(1, n + 1)]) for n in range(1, 8)],
+            [Graph.from_edges(2 * n, [(2 * k, 2 * k + 1) for k in range(n)]) for n in range(1, 6)],
+            [Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in range(2, 9)],
+        ],
+        ids=["random graphs", "stars K_1,n", "perfect matchings", "K_2 to K_8"],
+    )
+    def test_equals_lemma_brute_force_on_self_mirror_steps(self, corpus):
+        # A frontier with no X or Y label is its own mirror, and its entry
+        # merges the flagged bitset with its transpose.  Stars, matchings
+        # and small dense graphs pass through many such frontiers.
+        for g in corpus:
+            assert _lemma_lc(g)[0] == lc_lemma_naive(g), g
+
     def test_complete_graph_k10_is_decided(self):
         # Two disjoint K_5 give min(10, 10) + nu(empty) = 10 = lc - 1.
         g = Graph.from_edges(10, itertools.combinations(range(10), 2))
-        assert _lemma_lc(g) == (11, 131_328)
+        assert _lemma_lc(g) == (11, 127_872)
 
     @pytest.mark.parametrize(
         "vertices, edges, peak",
         [
-            (9, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (6, 7), (7, 8)], 258),
-            (7, [(0, k) for k in range(1, 7)] + [(k, k + 1) for k in range(1, 6)] + [(1, 6)], 113),
+            (9, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (6, 7), (7, 8)], 233),
+            (7, [(0, k) for k in range(1, 7)] + [(k, k + 1) for k in range(1, 6)] + [(1, 6)], 99),
         ],
         ids=["K_5 with a pendant path", "wheel on 7 vertices"],
     )
     def test_dense_and_sparse_steps_in_one_run(self, vertices, edges, peak):
-        # Some steps of these runs read few enough labels to keep a move
+        # Some steps of the wheel's run read few enough labels to keep a move
         # table per read signature, and some read too many and keep none.
+        # K_5 with a pendant path keeps none: a path step reads one field,
+        # 4 signatures, of only 3 keys (DONE, REST, and X with its mirror).
         g = Graph.from_edges(vertices, edges)
         assert _lemma_lc(g) == (lc_lemma_naive(g), peak)
 
@@ -467,7 +486,7 @@ class TestLemmaDP:
         g = Graph.from_edges(8, itertools.combinations(range(8), 2))
         tracemalloc.start()
         try:
-            assert _lemma_lc(g) == (7, 8_256)
+            assert _lemma_lc(g) == (7, 7_696)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -475,7 +494,7 @@ class TestLemmaDP:
 
     @pytest.mark.parametrize(
         "cols, rows, peak",
-        [(6, 6, 7_674), (5, 10, 1_914), (6, 8, 7_674)],
+        [(6, 6, 5_978), (5, 10, 1_514), (6, 8, 5_978)],
         ids=["6x6", "5x10", "6x8"],
     )
     def test_equals_closed_form_under_the_default_cap(self, cols, rows, peak):
@@ -513,14 +532,14 @@ class TestLemmaDP:
         # quote.
         g = grid(GridSpec(4, 4))
         peaks = [_lemma_lc(relabelled(g, seed) if seed else g)[1] for seed in range(4)]
-        assert peaks == [474] * 4
+        assert peaks == [386] * 4
         g = grid(GridSpec(5, 5))
         for seed in range(4):
-            assert _lemma_lc(relabelled(g, seed) if seed else g) == (17, 1_914)
+            assert _lemma_lc(relabelled(g, seed) if seed else g) == (17, 1_514)
 
     def test_byte_budget_refuses_at_a_pinned_vertex(self, monkeypatch):
-        # A 4x4 key is charged 100 bytes plus (decided + 1) * 25 bits, so
-        # 16 KiB holds the keys of the first six vertices only.
+        # A 4x4 bitset is charged 92 bytes plus (decided + 1) * 25 bits, so
+        # 16 KiB holds the bitsets of the first six vertices only.
         import gridlc.superline as superline
 
         monkeypatch.setattr(superline, "_BYTE_BUDGET", 2**14)
@@ -528,6 +547,19 @@ class TestLemmaDP:
             _lemma_lc(grid(GridSpec(4, 4)))
         assert str(refused.value) == (
             "the lc dynamic program needs more than 16384 bytes at vertex 7 of 16"
+        )
+
+    def test_byte_budget_charges_the_transposed_bitsets(self, monkeypatch):
+        # Vertex 7 of 4x4 holds 289 bitsets, 101 of them transposed copies,
+        # at 120 bytes each.  32 KiB admits 273, so a charge that skipped
+        # the copies would pass vertex 7 and refuse at vertex 9.
+        import gridlc.superline as superline
+
+        monkeypatch.setattr(superline, "_BYTE_BUDGET", 2**15)
+        with pytest.raises(CapacityError) as refused:
+            _lemma_lc(grid(GridSpec(4, 4)))
+        assert str(refused.value) == (
+            "the lc dynamic program needs more than 32768 bytes at vertex 7 of 16"
         )
 
     def test_scans_only_level_lc_minus_one(self, monkeypatch):
