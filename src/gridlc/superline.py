@@ -414,11 +414,10 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
             plain, flagging = moves
             for delta, mdelta, shift, _ in plain:
                 target, mirror = kept + delta, mkept + mdelta
-                if target < mirror:
-                    a, b = p1, q1
-                elif target > mirror:
+                a, b = p1, q1
+                if target > mirror:
                     target, a, b = mirror, q1, p1
-                else:
+                elif target == mirror:
                     a = b = p1 | q1
                 a0 = p0
                 # A shift by 0 still copies the int, as dear as any shift.
