@@ -236,6 +236,70 @@ _KEY_BYTES = 92
 _DONE, _REST, _X, _Y = range(4)
 
 
+def _frontier_steps(g: Graph) -> Iterator[tuple]:
+    """The lemma DP's visit, one step at a time, in the order ``_lemma_lc`` gives.
+
+    Each step is ``(v, reads, keep, sigmask, place, ones)``: the vertex
+    visited; an ``(offset, rest bit or 0)`` pair for each field of v's
+    earlier neighbours, 0 when that neighbour leaves the frontier; the mask
+    that clears the leaving fields; the mask of the fields read; v's own
+    field's low bit, or 0 when v does not stay; and the low bit of every
+    field left on the frontier.
+    """
+    neighbours: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    unvisited = {v: len(adj) for v, adj in neighbours.items()}
+    # The sum of a vertex's unvisited neighbours: the one left, once one is.
+    left = {v: sum(adj) for v, adj in neighbours.items()}
+    # With no visited neighbour, a vertex ranks by its degree, then its id.
+    fresh = iter(sorted(neighbours, key=lambda v: (len(neighbours[v]), v)))
+    slot: dict[int, int] = {}  # frontier vertex -> offset of its label's 2 bits
+    # Each unvisited vertex with a visited neighbour -> its rank, kept as
+    # [frontier change, -(visited neighbours), degree, id].  Visiting it adds
+    # it to the frontier unless no unvisited neighbour is left, and removes
+    # each frontier vertex whose one unvisited neighbour it is.
+    near: dict[int, list[int]] = {}
+    ones = 0  # the low bit of every frontier field
+    for _ in neighbours:
+        if near:
+            v = min(near.values())[3]
+            del near[v]
+        else:
+            # With the frontier empty, only unvisited vertices have an
+            # unvisited neighbour.
+            v = next(u for u in fresh if unvisited[u])
+        # A match on earlier vertex u flips its field from rest to done, or
+        # nothing when u leaves: its field is cleared and its offset freed.
+        reads, keep, sigmask = [], -1, 0
+        for u in neighbours[v]:
+            unvisited[u] -= 1
+            left[u] -= v
+            if u not in slot:
+                rank = near.setdefault(u, [1, 0, len(neighbours[u]), u])
+                rank[0] -= not unvisited[u]
+                rank[1] -= 1
+                continue
+            shift = slot[u]
+            sigmask |= 3 << shift
+            reads.append((shift, _REST << shift if unvisited[u] else 0))
+            if not unvisited[u]:
+                keep ^= 3 << slot.pop(u)
+            elif unvisited[u] == 1:
+                near[left[u]][0] -= 1
+        ones &= keep
+        # v's own field takes the lowest free offset, the lowest clear bit
+        # of the used fields, or none when v has no unvisited neighbour left.
+        place = ~(3 * ones) & (3 * ones + 1) if unvisited[v] else 0
+        if place:
+            slot[v] = place.bit_length() - 1
+            ones |= place
+        if unvisited[v] == 1:
+            near[left[v]][0] -= 1
+        yield v, reads, keep, sigmask, place, ones
+
+
 def _lemma_lc(g: Graph) -> tuple[int, int]:
     """lc(g) by a frontier DP over the lemma, and the DP's peak bitset count.
 
@@ -248,28 +312,31 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     numbering, so relabelling the vertices changes the order only among
     vertices that tie on the rest.
 
-    Each frontier vertex is labelled X, Y, rest that may still be matched
-    to a later neighbour, or rest that is done (matched already), in a
-    2-bit field of the labels int at a fixed offset until it leaves the
-    frontier.  Then the field is cleared and the offset freed for reuse: a
-    vertex that stays takes the lowest free offset.  All labellings of a
-    step share the offsets, so a labelling is one int.  An edge joins E[X],
-    E[Y] or the matching when its later endpoint is visited.  For each
-    labelling L of the frontier the DP tracks two point sets, one for each
-    value of a flag recording that E[X] or E[Y] is nonempty.  The set holds
-    the points (a, b) reached by the labellings of the visited vertices that
-    end in L with that flag, with a = |E[X]| + matched and
-    b = |E[Y]| + matched, kept as one int whose bit a * W + b is set for each
-    point, W = E + 1.  A move shifts a whole set: an X move by nx * W, a Y
-    move by ny, a match by W + 1, rest by 0.  A move that sets the flag (X
-    with nx > 0, Y with ny > 0) sends the union of both sets to the target's
-    flagged set; any other move sends each set to the target's set of the
-    same flag.  Sets that reach one labelling are merged with ``|``.  Both a
-    and b count closed edges, so b <= E < W and no row runs into the next.
-    Every set bit is the point of a real labelling and every labelling's
-    point is set, so the largest min(a, b) over the final labelling is the
-    lemma's maximum exactly; a point that another dominates is kept, but
-    it cannot raise that maximum, so no pruning is needed.
+    Each frontier vertex is labelled X, Y, rest that may still be matched to
+    a later neighbour, or rest that is done (matched already), in a 2-bit
+    field of the labels int at a fixed offset until it leaves the frontier.
+    Then the field is cleared and the offset freed for reuse: a vertex that
+    stays takes the lowest free offset.  ``_frontier_steps`` keeps the
+    ranked candidates and a mask of the used fields from step to step,
+    updating both from the new vertex's neighbours alone, so the lowest free
+    offset is the lowest clear field of that mask.  All labellings of a step
+    share the offsets, so a labelling is one int.  An edge joins E[X], E[Y]
+    or the matching when its later endpoint is visited.  For each labelling
+    L of the frontier the DP tracks two point sets, one for each value of a
+    flag recording that E[X] or E[Y] is nonempty.  The set holds the points
+    (a, b) reached by the labellings of the visited vertices that end in L
+    with that flag, with a = |E[X]| + matched and b = |E[Y]| + matched, kept
+    as one int whose bit a * W + b is set for each point, W = E + 1.  A move
+    shifts a whole set: an X move by nx * W, a Y move by ny, a match by
+    W + 1, rest by 0.  A move that sets the flag (X with nx > 0, Y with
+    ny > 0) sends the union of both sets to the target's flagged set; any
+    other move sends each set to the target's set of the same flag.  Sets
+    that reach one labelling are merged with ``|``.  Both a and b count
+    closed edges, so b <= E < W and no row runs into the next.  Every set
+    bit is the point of a real labelling and every labelling's point is set,
+    so the largest min(a, b) over the final labelling is the lemma's maximum
+    exactly; a point that another dominates is kept, but it cannot raise
+    that maximum, so no pruning is needed.
 
     Swapping X and Y maps the labellings that end in L one to one onto those
     that end in mirror(L) = L ^ (L >> 1 & ones), ones the low bit of every
@@ -334,58 +401,31 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     the DP raises :class:`CapacityError`.  The peak counted is of the same
     bitsets.
     """
-    if not g.edges:
-        return 0, 0
-    neighbours: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in g.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    unvisited = {v: len(adj) for v, adj in neighbours.items()}
-    visited: set[int] = set()
-    # With no visited neighbour, a vertex ranks by its degree, then its id.
-    fresh = iter(sorted(neighbours, key=lambda v: (len(neighbours[v]), v)))
+    points, peak = _lemma_points(g)
+    # Any edge can be X, so the final flagged set is nonempty, and with no
+    # edge it is empty: the best below is then -1 and lc = 0.  Row a of the
+    # bitset holds the b of its points; the best is min(a, largest b).
+    width = g.edge_count + 1
+    row = (1 << width) - 1
+    best = max(min(a, (points >> a * width & row).bit_length() - 1) for a in range(width))
+    return best + 1, peak
 
-    def rank(v: int) -> tuple[int, int, int, int]:
-        degree = len(neighbours[v])
-        # The visited neighbours that leave the frontier with v.
-        closing = sum(unvisited[u] == 1 for u in neighbours[v] if u in visited)
-        return ((unvisited[v] > 0) - closing, unvisited[v] - degree, degree, v)
 
+def _lemma_points(g: Graph) -> tuple[int, int]:
+    """The final flagged bitset of the DP that ``_lemma_lc`` describes, and its peak."""
     width = g.edge_count + 1
     decided = 0
-    slot: dict[int, int] = {}  # frontier vertex -> offset of its label's 2 bits
     # min(labels, mirror) -> (unflagged points, flagged points, flagged transposed)
     states = {0: (1, 0, 0)}
     peak = 0
-    for step in range(1, len(neighbours) + 1):
-        if slot:
-            v = min({u for w in slot for u in neighbours[w] if u not in visited}, key=rank)
-        else:
-            v = next(u for u in fresh if u not in visited)
-        visited.add(v)
-        earlier = [u for u in neighbours[v] if u in slot]
-        for u in neighbours[v]:
-            unvisited[u] -= 1
-        # A match on earlier vertex u flips its field from rest to done, or
-        # nothing when u leaves: its field is cleared and its offset freed.
-        reads = [(slot[u], _REST << slot[u] if unvisited[u] else 0) for u in earlier]
-        keep = ~sum(3 << slot.pop(u) for u in earlier if not unvisited[u])
-        # v's own label takes the lowest free offset, or none when v has no
-        # unvisited neighbour left.
-        place = 0
-        if unvisited[v]:
-            slot[v] = min(set(range(0, 2 * len(slot) + 1, 2)) - set(slot.values()))
-            place = 1 << slot[v]
-        # The low bit of every field: labels ^ (labels >> 1 & ones) swaps X and Y.
-        ones = sum(1 << offset for offset in slot.values())
+    for step, (_, reads, keep, sigmask, place, ones) in enumerate(_frontier_steps(g), 1):
         # A point's a and b count closed edges, so its bit is below
         # (decided + 1) * W: the bitsets this step may hold within the budget.
-        decided += len(earlier)
+        decided += len(reads)
         most = _BYTE_BUDGET // (_KEY_BYTES + (decided + 1) * width // 30 * 4)
         new: dict[int, tuple[int, int, int]] = {}
         count = 0
         put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
-        sigmask = sum(3 << shift for shift, _ in reads)
         # Read signature -> (moves that keep the flag, moves that set it),
         # each a (delta, mirrored delta, shift, transposed shift) list; kept
         # only while it cannot outgrow states.
@@ -447,16 +487,11 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
             if count > most:
                 raise CapacityError(
                     f"the lc dynamic program needs more than {_BYTE_BUDGET} bytes "
-                    f"at vertex {step} of {len(neighbours)}"
+                    f"at vertex {step} of {len(set(itertools.chain(*g.edges)))}"
                 )
         peak = max(peak, count)
         states = new
-    # Any edge can be X, so the final flagged set is nonempty.  Row a of
-    # its bitset holds the b of its points; the best is min(a, largest b).
-    points = states[0][1]
-    row = (1 << width) - 1
-    best = max(min(a, (points >> a * width & row).bit_length() - 1) for a in range(width))
-    return best + 1, peak
+    return states[0][1], peak
 
 
 def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:

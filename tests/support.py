@@ -11,11 +11,14 @@ the way ``lc_bruteforce`` decided lc before the lemma DP; it is the
 reference the DP is checked against where the scan is fast enough.
 ``lc_grid_transfer`` decides grids from the lemma by its own
 transfer-matrix DP, the reference for grids the scan cannot reach.
+``frontier_steps_reference`` is the lemma DP's visit order and field
+layout, worked out afresh at every step.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import combinations, product
 
 import hypothesis.strategies as st
@@ -140,6 +143,73 @@ def lc_lemma_naive(graph: Graph) -> int:
                 min(len(within["X"]), len(within["Y"])) + matching_number_naive(within["R"]),
             )
     return best + 1
+
+
+def lemma_points_naive(graph: Graph) -> int:
+    """The lemma DP's final flagged bitset, from all 3^V splits into X, Y and rest.
+
+    Bit a * (E + 1) + b is set for each point (|E[X]| + |M|, |E[Y]| + |M|)
+    of a split whose E[X] or E[Y] is nonempty, with M any matching of the
+    edges inside the rest.  |M| takes every value from 0 to the matching
+    number: drop edges from a maximum matching.
+    """
+    width = graph.edge_count + 1
+    bits = 0
+    for sides in product("XYR", repeat=graph.vertex_count):
+        within = {"X": [], "Y": [], "R": []}
+        for u, v in graph.edges:
+            if sides[u] == sides[v]:
+                within[sides[u]].append((u, v))
+        if within["X"] or within["Y"]:
+            for size in range(matching_number_naive(within["R"]) + 1):
+                bits |= 1 << (len(within["X"]) + size) * width + len(within["Y"]) + size
+    return bits
+
+
+def frontier_steps_reference(graph: Graph):
+    """Each step of the lemma DP's visit, with every choice worked out afresh.
+
+    The candidates are the unvisited neighbours of the frontier, rebuilt at
+    every step and ranked by (frontier change, -(visited neighbours),
+    degree, id); with the frontier empty, the unvisited vertex of least
+    degree, then id, starts the next component.  Offsets are the lowest
+    even number no frontier field holds.  Yields the same
+    ``(v, reads, keep, sigmask, place, ones)`` as ``_frontier_steps``.
+    """
+    neighbours: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    unvisited = {v: len(adj) for v, adj in neighbours.items()}
+    visited: set[int] = set()
+    fresh = iter(sorted(neighbours, key=lambda v: (len(neighbours[v]), v)))
+
+    def rank(v: int) -> tuple[int, int, int, int]:
+        degree = len(neighbours[v])
+        # The visited neighbours that leave the frontier with v.
+        closing = sum(unvisited[u] == 1 for u in neighbours[v] if u in visited)
+        return ((unvisited[v] > 0) - closing, unvisited[v] - degree, degree, v)
+
+    slot: dict[int, int] = {}  # frontier vertex -> offset of its field
+    for _ in neighbours:
+        if slot:
+            v = min({u for w in slot for u in neighbours[w] if u not in visited}, key=rank)
+        else:
+            v = next(u for u in fresh if u not in visited)
+        visited.add(v)
+        earlier = [u for u in neighbours[v] if u in slot]
+        for u in neighbours[v]:
+            unvisited[u] -= 1
+        # A match on u clears its rest bit (REST is 1), or nothing when u leaves.
+        reads = [(slot[u], 1 << slot[u] if unvisited[u] else 0) for u in earlier]
+        sigmask = sum(3 << shift for shift, _ in reads)
+        keep = ~sum(3 << slot.pop(u) for u in earlier if not unvisited[u])
+        place = 0
+        if unvisited[v]:
+            slot[v] = min(set(range(0, 2 * len(slot) + 1, 2)) - set(slot.values()))
+            place = 1 << slot[v]
+        ones = sum(1 << offset for offset in slot.values())
+        yield v, reads, keep, sigmask, place, ones
 
 
 def lc_grid_transfer(cols: int, rows: int) -> int:

@@ -21,16 +21,18 @@ from gridlc import (
     sets_adjacent,
     super_line_graph,
 )
-from gridlc.superline import _lemma_lc
+from gridlc.superline import _frontier_steps, _lemma_lc, _lemma_points
 from support import (
     find_pair_naive,
     first_witness_scan,
+    frontier_steps_reference,
     graphs,
     grids_with_at_most,
     lc_grid_transfer,
     lc_lemma_naive,
     lc_naive,
     lc_upward_scan,
+    lemma_points_naive,
     line_graph_naive,
     random_simple_graphs,
     share_endpoint,
@@ -459,6 +461,25 @@ class TestLemmaDP:
         for g in corpus:
             assert _lemma_lc(g)[0] == lc_lemma_naive(g), g
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            random_simple_graphs(150, max_edges=9),
+            [Graph.from_edges(n + 1, [(0, k) for k in range(1, n + 1)]) for n in range(1, 7)],
+            [Graph.from_edges(2 * n, [(2 * k, 2 * k + 1) for k in range(n)]) for n in range(1, 5)],
+            [Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in range(2, 6)],
+        ],
+        ids=["random graphs", "stars K_1,n", "perfect matchings", "K_2 to K_5"],
+    )
+    def test_final_flagged_bitset_is_every_lemma_point(self, corpus):
+        # The final labelling is its own mirror, so its flagged bitset holds
+        # the points of both orientations only if every self-mirror key on
+        # the way merged p1 with its transpose q1.  The answer reads the
+        # best point alone, and min(a, b) is symmetric, so only the exact
+        # set shows a merge that is left out.
+        for g in corpus:
+            assert _lemma_points(g)[0] == lemma_points_naive(g), g
+
     def test_complete_graph_k10_is_decided(self):
         # Two disjoint K_5 give min(10, 10) + nu(empty) = 10 = lc - 1.
         g = Graph.from_edges(10, itertools.combinations(range(10), 2))
@@ -582,6 +603,43 @@ class TestLemmaDP:
         result = lc_bruteforce(g)
         assert result.r == 200
         assert result.witness_at_r_minus_1.S.indices() == tuple(range(199))
+
+
+class TestFrontierSteps:
+    """The lemma DP's visit keeps its bookkeeping across steps; a reference
+    that works out every step afresh yields the same steps."""
+
+    @staticmethod
+    def assert_same_steps(g: Graph, steps: int | None = None) -> None:
+        expected = list(itertools.islice(frontier_steps_reference(g), steps))
+        assert list(itertools.islice(_frontier_steps(g), steps)) == expected, g
+
+    def test_random_graphs(self):
+        for g in random_simple_graphs(300, max_edges=14):
+            self.assert_same_steps(g)
+
+    @pytest.mark.parametrize("cols", range(1, 7))
+    def test_grids_in_two_numberings(self, cols):
+        for rows in range(1, 7):
+            g = grid(GridSpec(cols, rows))
+            self.assert_same_steps(g)
+            self.assert_same_steps(relabelled(g, 10 * cols + rows))
+
+    def test_complete_graphs(self):
+        for n in range(2, 10):
+            self.assert_same_steps(Graph.from_edges(n, itertools.combinations(range(n), 2)))
+
+    def test_components_and_isolated_vertices(self):
+        # Each component starts from an empty frontier; 2, 6, 7 and 11 have
+        # no edge and are never visited.
+        g = Graph.from_edges(12, [(0, 1), (3, 4), (4, 5), (9, 10), (8, 9)])
+        self.assert_same_steps(g)
+        assert [v for v, *_ in _frontier_steps(g)] == [0, 1, 3, 4, 5, 8, 9, 10]
+
+    def test_first_steps_of_the_largest_grid(self):
+        # Both sides yield one step at a time, so the 32,761 vertices of
+        # 181x181 are not ordered whole before the first step.
+        self.assert_same_steps(grid(GridSpec(181, 181)), 60)
 
 
 class TestMaxNonadjacentR:
