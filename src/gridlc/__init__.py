@@ -24,7 +24,9 @@ _SOURCES = {
         "write_label_table",
     ),
     "formula": ("GridCase", "lc_grid_formula"),
-    "graph": ("DEFAULT_EDGE_CAP", "Graph", "GridSpec", "grid", "path"),
+    "graph": (
+        "DEFAULT_EDGE_CAP", "EdgeSet", "Graph", "GridSpec", "grid", "path", "super_line_graph"
+    ),
     "slicing": (
         "CheckResult",
         "Orientation",
@@ -37,13 +39,11 @@ _SOURCES = {
         "verify_slicing",
     ),
     "superline": (
-        "EdgeSet",
         "LcResult",
         "WitnessPair",
         "find_nonadjacent_pair",
         "lc_bruteforce",
         "sets_adjacent",
-        "super_line_graph",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -9,13 +9,13 @@ stdout early (``gridlc slice ... | head``) does not change the exit code.
 Each ``_cmd_*`` handler returns its exit code, its JSON payload and its
 text lines, built from the same values; ``main`` prints the payload under
 ``--output json`` and the lines otherwise.  Each handler imports the gridlc
-modules it runs, so a command pays start-up only for those modules.
+modules it runs, so a command pays start-up only for those modules; ``json``
+is imported only to print ``--output json`` and for ``verify`` to read.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -86,7 +86,7 @@ def _cmd_lc_brute(args: argparse.Namespace) -> tuple[int, object, list[str]]:
 
 def _cmd_superline(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     from .fileio import read_edge_list, write_edge_list, write_label_table
-    from .superline import super_line_graph
+    from .graph import super_line_graph
 
     graph = read_edge_list(args.input)
     result, labels = super_line_graph(graph, args.index, vertex_cap=args.vertex_cap)
@@ -120,6 +120,8 @@ def _cmd_slice(args: argparse.Namespace) -> tuple[int, object, list[str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+    import json
+
     from .slicing import slicing_from_dict, verify_slicing
 
     if args.slicing == "-":
@@ -260,8 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
+        if args.output == "json":
+            import json
+            lines = [json.dumps(payload, indent=2)]
         try:
-            print(json.dumps(payload, indent=2) if args.output == "json" else "\n".join(lines))
+            print("\n".join(lines))
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader stopped early; the answer stands.  Python flushes

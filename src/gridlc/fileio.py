@@ -15,9 +15,11 @@ from .graph import DEFAULT_EDGE_CAP, Graph
 
 
 def format_edge_list(graph: Graph) -> str:
-    lines = [f"p {graph.vertex_count} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
+    # One text per endpoint that occurs: memory follows the edge count.
+    first = {u: f"{u} " for u in {u for u, _ in graph.edges}}
+    second = {v: f"{v}\n" for v in {v for _, v in graph.edges}}
+    body = "".join([first[u] + second[v] for u, v in graph.edges])
+    return f"p {graph.vertex_count} {graph.edge_count}\n" + body
 
 
 def parse_edge_list(text: str, *, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Graph:
@@ -62,8 +64,9 @@ def write_edge_list(graph: Graph, path: str | os.PathLike) -> None:
 
 def format_label_table(labels: Sequence[Sequence[int]]) -> str:
     """One line per subset vertex: ``<vertex index>: e<i1>,e<i2>,...``."""
+    names = {edge: f"e{edge}" for edge in {edge for subset in labels for edge in subset}}
     lines = [
-        f"{vertex}: " + ",".join(f"e{edge}" for edge in subset)
+        f"{vertex}: " + ",".join([names[edge] for edge in subset])
         for vertex, subset in enumerate(labels)
     ]
     return "\n".join(lines) + "\n"

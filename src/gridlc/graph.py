@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs with indexed edge lists.
+"""Graphs, edge subsets, and the grids, paths and super line graphs.
 
 Vertices are the integers ``0 .. vertex_count - 1``.  Edges are ``(u, v)``
 pairs with ``u < v`` and are identified by their position in the edge list;
@@ -6,15 +6,18 @@ the two make up the whole value of a graph.  The subset machinery runs on
 one bitmask per edge marking the edges that share an endpoint with it,
 built on first use.  Graphs are frozen and safe to share between threads;
 threads that first read the masks at the same moment compute the same tuple.
+Deciding lc on these graphs is left to :mod:`gridlc.superline`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 
-from .errors import CapacityError
+from .errors import DEFAULT_VERTEX_CAP, CapacityError
 
 #: Default cap on user-supplied edge lists.  Grids and paths are checked
 #: against their own cap, and super line graphs against a vertex cap.
@@ -97,6 +100,44 @@ class Graph(namedtuple("Graph", "vertex_count edges")):
         return (1 << len(self.edges)) - 1
 
 
+class EdgeSet(namedtuple("EdgeSet", "graph bits")):
+    """A set of edge indices of one particular graph, stored as a bitmask."""
+
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, graph: Graph, bits: int) -> EdgeSet:
+        if bits < 0 or bits >> graph.edge_count:
+            raise ValueError("bitmask contains edge indices outside the graph")
+        return super().__new__(cls, graph, bits)
+
+    @staticmethod
+    def from_indices(graph: Graph, indices: Iterable[int]) -> EdgeSet:
+        bits = 0
+        for index in indices:
+            if not 0 <= index < graph.edge_count:
+                raise ValueError(
+                    f"edge index {index} out of range for a graph with {graph.edge_count} edges"
+                )
+            bits |= 1 << index
+        return EdgeSet(graph, bits)
+
+    @property
+    def cardinality(self) -> int:
+        return self.bits.bit_count()
+
+    def indices(self) -> tuple[int, ...]:
+        """Member edge indices in ascending order."""
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
+
+
 class GridSpec(namedtuple("GridSpec", "cols rows")):
     """Dimensions of a grid graph: ``cols`` cells across, ``rows`` down.
 
@@ -148,3 +189,47 @@ def path(k: int) -> Graph:
     if k < 1:
         raise ValueError("a path needs at least one vertex")
     return grid(GridSpec(k, 1))
+
+
+def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every r-subset of edges in lexicographic order as (indices, bits, cover)."""
+    adjacency = g.edge_adjacency
+    for indices in itertools.combinations(range(g.edge_count), r):
+        bits = 0
+        cover = 0
+        for e in indices:
+            bits |= 1 << e
+            cover |= adjacency[e]
+        yield indices, bits, cover
+
+
+def super_line_graph(
+    g: Graph, r: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """Materialise the super line graph of index ``r`` with vertex labels.
+
+    Returns ``(graph, labels)``: vertex ``k`` of ``graph`` is the ``k``-th
+    r-subset of edge indices in lexicographic order and ``labels[k]`` is
+    that subset.  With ``r = 1`` it is the line graph of ``g``: vertex ``k``
+    is edge ``k``.  Construction tests every subset pair, so cost grows
+    quadratically with the subset count; ``vertex_cap`` bounds it up front.
+    """
+    if r < 1:
+        raise ValueError("subset size r must be at least 1")
+    if r > g.edge_count:
+        raise ValueError(f"r = {r} exceeds the {g.edge_count} available edges")
+    subset_count = math.comb(g.edge_count, r)
+    if subset_count > vertex_cap:
+        raise CapacityError(
+            f"C({g.edge_count}, {r}) = {subset_count} subset vertices "
+            f"exceed the cap of {vertex_cap}"
+        )
+    labels, bitmasks, covers = zip(*_subsets(g, r))
+    # Pairs come out as (i < j), unique and in range, so the graph is built
+    # directly rather than revalidated by Graph.from_edges.
+    pairs: list[tuple[int, int]] = []
+    for i, cover in enumerate(covers):
+        for j in range(i + 1, subset_count):
+            if cover & bitmasks[j]:
+                pairs.append((i, j))
+    return Graph(subset_count, tuple(pairs)), labels

@@ -28,8 +28,7 @@ from collections import defaultdict
 from typing import Mapping, NamedTuple
 
 from .formula import lc_grid_formula
-from .graph import Graph, GridSpec, grid
-from .superline import EdgeSet
+from .graph import EdgeSet, Graph, GridSpec, grid
 
 
 class Orientation(enum.Enum):

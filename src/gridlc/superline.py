@@ -1,10 +1,11 @@
-r"""Super line graphs, completeness testing, and the line completion number.
+r"""Completeness testing and the line completion number.
 
 The super line graph of index ``r`` of a graph G has one vertex per
 r-element subset of G's edges; two subsets are adjacent when some edge of
 one shares an endpoint with a different edge of the other.  The line
 completion number lc(G) is the least ``r`` for which that graph is
-complete, with lc = 0 for an edgeless graph.
+complete, with lc = 0 for an edgeless graph.  This module decides lc;
+``EdgeSet`` and ``super_line_graph`` live in :mod:`gridlc.graph`.
 
 Subset pairs are enumerated lexicographically by sorted edge indices, and
 overlapping pairs are included: two distinct subsets may share edges and
@@ -40,50 +41,11 @@ decided in full or not at all: a cut-short walk reports nothing.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-from .errors import DEFAULT_PAIR_BUDGET, DEFAULT_VERTEX_CAP, CapacityError
-from .graph import Graph
-
-
-class EdgeSet(namedtuple("EdgeSet", "graph bits")):
-    """A set of edge indices of one particular graph, stored as a bitmask."""
-
-    __slots__ = ()
-    # _replace builds through _make, which would skip the checks in __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, graph: Graph, bits: int) -> EdgeSet:
-        if bits < 0 or bits >> graph.edge_count:
-            raise ValueError("bitmask contains edge indices outside the graph")
-        return super().__new__(cls, graph, bits)
-
-    @staticmethod
-    def from_indices(graph: Graph, indices: Iterable[int]) -> EdgeSet:
-        bits = 0
-        for index in indices:
-            if not 0 <= index < graph.edge_count:
-                raise ValueError(
-                    f"edge index {index} out of range for a graph with {graph.edge_count} edges"
-                )
-            bits |= 1 << index
-        return EdgeSet(graph, bits)
-
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        """Member edge indices in ascending order."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+from .errors import DEFAULT_PAIR_BUDGET, CapacityError
+from .graph import EdgeSet, Graph
 
 
 def _adjacency_cover(graph: Graph, bits: int) -> int:
@@ -141,18 +103,6 @@ class LcResult(namedtuple("LcResult", "r witness_at_r_minus_1")):
         if witness_at_r_minus_1 is not None and witness_at_r_minus_1.r != r - 1:
             raise ValueError("witness must certify incompleteness at r - 1")
         return super().__new__(cls, r, witness_at_r_minus_1)
-
-
-def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Every r-subset of edges in lexicographic order as (indices, bits, cover)."""
-    adjacency = g.edge_adjacency
-    for indices in itertools.combinations(range(g.edge_count), r):
-        bits = 0
-        cover = 0
-        for e in indices:
-            bits |= 1 << e
-            cover |= adjacency[e]
-        yield indices, bits, cover
 
 
 def _first_witness(g: Graph, r: int, budget: int) -> WitnessPair | None:
@@ -513,35 +463,3 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
     if witness is None:
         raise AssertionError(f"the lemma gives lc = {r}, but level {r - 1} has no witness pair")
     return LcResult(r, witness)
-
-
-def super_line_graph(
-    g: Graph, r: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """Materialise the super line graph of index ``r`` with vertex labels.
-
-    Returns ``(graph, labels)``: vertex ``k`` of ``graph`` is the ``k``-th
-    r-subset of edge indices in lexicographic order and ``labels[k]`` is
-    that subset.  With ``r = 1`` it is the line graph of ``g``: vertex ``k``
-    is edge ``k``.  Construction tests every subset pair, so cost grows
-    quadratically with the subset count; ``vertex_cap`` bounds it up front.
-    """
-    if r < 1:
-        raise ValueError("subset size r must be at least 1")
-    if r > g.edge_count:
-        raise ValueError(f"r = {r} exceeds the {g.edge_count} available edges")
-    subset_count = math.comb(g.edge_count, r)
-    if subset_count > vertex_cap:
-        raise CapacityError(
-            f"C({g.edge_count}, {r}) = {subset_count} subset vertices "
-            f"exceed the cap of {vertex_cap}"
-        )
-    labels, bitmasks, covers = zip(*_subsets(g, r))
-    # Pairs come out as (i < j), unique and in range, so the graph is built
-    # directly rather than revalidated by Graph.from_edges.
-    pairs: list[tuple[int, int]] = []
-    for i, cover in enumerate(covers):
-        for j in range(i + 1, subset_count):
-            if cover & bitmasks[j]:
-                pairs.append((i, j))
-    return Graph(subset_count, tuple(pairs)), labels

@@ -4,6 +4,7 @@ Import-state tests run a fresh interpreter, because this process has
 already imported every gridlc module through the other tests.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -38,13 +39,16 @@ def run_fresh(code: str) -> str:
 
 
 class TestImportFootprint:
+    # A module counts as loaded by the command only if the interpreter had
+    # not already loaded it at start-up (some site hooks import json).
     FOOTPRINT = """
 import contextlib, io, sys
+before = set(sys.modules)
 from gridlc.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main({argv!r}) == 0
 for name in {absent!r}:
-    print(name, name in sys.modules)
+    print(name, name in sys.modules and name not in before)
 """
 
     @pytest.mark.parametrize(
@@ -52,16 +56,37 @@ for name in {absent!r}:
         [
             (
                 ["lc-formula", "--cols", "24", "--rows", "24"],
-                ["gridlc.graph", "gridlc.superline", "gridlc.slicing", "gridlc.fileio", "dataclasses"],
+                ["gridlc.graph", "gridlc.superline", "gridlc.slicing", "gridlc.fileio",
+                 "dataclasses", "json"],
             ),
             (
                 ["lc-brute", "--grid", "3", "3"],
-                ["gridlc.slicing", "gridlc.fileio", "dataclasses"],
+                ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json"],
+            ),
+            (
+                ["superline", "--index", "2", "--input", "{tmp}/g.edges", "--out", "{tmp}/l2.edges"],
+                ["gridlc.superline", "gridlc.slicing", "dataclasses", "json"],
+            ),
+            (
+                ["slice", "--cols", "6", "--rows", "4"],
+                ["gridlc.superline", "gridlc.fileio", "dataclasses"],
+            ),
+            (
+                ["verify", "--slicing", "{tmp}/slicing.json"],
+                ["gridlc.superline", "gridlc.fileio", "dataclasses"],
+            ),
+            (
+                ["xcheck", "--max-edges", "10"],
+                ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json"],
             ),
         ],
-        ids=["lc-formula", "lc-brute"],
+        ids=["lc-formula", "lc-brute", "superline", "slice", "verify", "xcheck"],
     )
-    def test_command_loads_only_what_it_runs(self, argv, absent):
+    def test_command_loads_only_what_it_runs(self, argv, absent, tmp_path):
+        gridlc.write_edge_list(grid(GridSpec(3, 3)), tmp_path / "g.edges")
+        document = gridlc.slicing_to_dict(best_slicing(GridSpec(6, 4)))
+        (tmp_path / "slicing.json").write_text(json.dumps(document), encoding="utf-8")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         out = run_fresh(self.FOOTPRINT.format(argv=argv, absent=absent))
         assert out.split("\n")[:-1] == [f"{name} False" for name in absent]
 
