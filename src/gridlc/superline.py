@@ -105,7 +105,9 @@ class LcResult(namedtuple("LcResult", "r witness_at_r_minus_1")):
         return super().__new__(cls, r, witness_at_r_minus_1)
 
 
-def _first_witness(g: Graph, r: int, budget: int) -> WitnessPair | None:
+def find_nonadjacent_pair(
+    g: Graph, r: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
+) -> WitnessPair | None:
     """Lexicographically first non-adjacent pair of r-subsets, or ``None``.
 
     ``None`` means the level is complete.  With F the complement of an
@@ -114,8 +116,10 @@ def _first_witness(g: Graph, r: int, budget: int) -> WitnessPair | None:
     over prefixes in lexicographic order stops at the first such S; covers
     only grow, so a prefix P with ``|F_P| < r`` is skipped with its subtree.
     Each prefix tried reads one adjacency mask; a walk that would read more
-    than ``budget`` raises :class:`CapacityError`.
+    than ``pair_budget`` raises :class:`CapacityError`.
     """
+    if not 1 <= r <= g.edge_count:
+        raise ValueError(f"subset size {r} out of range 1..{g.edge_count}")
     full = g.full_edge_mask()
     adjacency = g.edge_adjacency
     last = g.edge_count - r
@@ -127,10 +131,10 @@ def _first_witness(g: Graph, r: int, budget: int) -> WitnessPair | None:
         if e > last + k:
             k -= 1
             continue
-        if reads >= budget:
+        if reads >= pair_budget:
             raise CapacityError(
                 f"the witness walk at level r = {r} reads more than the budget "
-                f"of {budget} masks"
+                f"of {pair_budget} masks"
             )
         reads += 1
         after[k] = e + 1
@@ -154,32 +158,17 @@ def _first_witness(g: Graph, r: int, budget: int) -> WitnessPair | None:
     return None
 
 
-def find_nonadjacent_pair(
-    g: Graph, r: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> WitnessPair | None:
-    """Lexicographically first non-adjacent pair of r-subsets, if any.
-
-    ``None`` means the level is complete.  A walk that would read more than
-    ``pair_budget`` adjacency masks raises :class:`CapacityError`.
-    """
-    if not 1 <= r <= g.edge_count:
-        raise ValueError(f"subset size {r} out of range 1..{g.edge_count}")
-    return _first_witness(g, r, pair_budget)
-
-
-#: Bytes one step of the lemma DP may hold.  Each nonempty bitset of an
-#: entry, the transposed one included, is charged ``_KEY_BYTES`` plus its
-#: bound of (decided + 1) * W bits, at 4 bytes for every 30 bits.  By
-#: ``sys.getsizeof`` an entry (its dict slot, its labels int, its 3-tuple and
-#: the 24-byte int headers of its nonzero bitsets) takes 178 to 205 bytes at
-#: the peaks of 4x4 to 7x7, 6x20 and K_10 and at the 8x8 and K_12 refusals:
-#: 68 a bitset on the grids, whose entries hold about 2.9 bitsets, and 92 on
-#: K_10 and K_12, whose entries hold the flagged pair alone.  The charge is
-#: the larger.  The 7x7 grid, the 6x20 grid and K_10 are decided; the
+#: Bytes one step of the lemma DP may hold.  Each entry is charged
+#: ``_ENTRY_BYTES`` plus three bitsets at their bound of (decided + 1) * W
+#: bits, at 4 bytes for every 30 bits; an entry holds at most three, so the
+#: charge is an upper bound.  By ``sys.getsizeof`` an entry's dict slot, its
+#: labels int, its 3-tuple and three 24-byte int headers take 198 to 204
+#: bytes at the peaks of 4x4 to 7x7, 6x20 and K_10, the most on K_10.  The
+#: 7x7 grid, the 6x20 grid and K_10 (at 0.86 of the budget) are decided; the
 #: 181x181 grid and K_12 pass the budget within their first 11 vertices,
 #: under 100 MB of RSS each.
 _BYTE_BUDGET = 2**26
-_KEY_BYTES = 92
+_ENTRY_BYTES = 205
 
 
 # Frontier labels of the lemma DP, two bits per frontier vertex.
@@ -251,7 +240,7 @@ def _frontier_steps(g: Graph) -> Iterator[tuple]:
 
 
 def _lemma_lc(g: Graph) -> tuple[int, int]:
-    """lc(g) by a frontier DP over the lemma, and the DP's peak bitset count.
+    """lc(g) by a frontier DP over the lemma, and the DP's peak entry count.
 
     The vertices that have edges are visited one at a time.  The frontier
     is the set of visited vertices that still have an unvisited neighbour.
@@ -345,11 +334,9 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     key has a signature of its own, and the same code works out its moves
     unstored.
 
-    Each nonempty p0, p1 and q1 of a step counts as one bitset, p1 and q1
-    both even where they are equal.  The bitsets are charged as
-    ``_BYTE_BUDGET`` says, checked after each key's moves; past the budget
-    the DP raises :class:`CapacityError`.  The peak counted is of the same
-    bitsets.
+    Each entry of a step is charged as ``_BYTE_BUDGET`` says, checked
+    after each key's moves; past the budget the DP raises
+    :class:`CapacityError`.  The peak is the most entries a step holds.
     """
     points, peak = _lemma_points(g)
     # Any edge can be X, so the final flagged set is nonempty, and with no
@@ -370,11 +357,10 @@ def _lemma_points(g: Graph) -> tuple[int, int]:
     peak = 0
     for step, (_, reads, keep, sigmask, place, ones) in enumerate(_frontier_steps(g), 1):
         # A point's a and b count closed edges, so its bit is below
-        # (decided + 1) * W: the bitsets this step may hold within the budget.
+        # (decided + 1) * W: the entries this step may hold within the budget.
         decided += len(reads)
-        most = _BYTE_BUDGET // (_KEY_BYTES + (decided + 1) * width // 30 * 4)
+        most = _BYTE_BUDGET // (_ENTRY_BYTES + 3 * ((decided + 1) * width // 30 * 4))
         new: dict[int, tuple[int, int, int]] = {}
-        count = 0
         put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
         # Read signature -> (moves that keep the flag, moves that set it),
         # each a (delta, mirrored delta, shift, transposed shift) list; kept
@@ -416,11 +402,9 @@ def _lemma_points(g: Graph) -> tuple[int, int]:
                 entry = new.get(target)
                 if entry is None:
                     new[target] = a0, a, b
-                    count += (a0 > 0) + 2 * (a > 0)
                 else:
                     e0, e1, f1 = entry
                     new[target] = e0 | a0, e1 | a, f1 | b
-                    count += (not e0 and a0 > 0) + 2 * (not e1 and a > 0)
             if flagging:
                 # A move that sets the flag sends the unflagged points too.
                 both, mboth = p0 | p1, p0 | q1
@@ -433,13 +417,12 @@ def _lemma_points(g: Graph) -> tuple[int, int]:
                         a = b = a | b
                     e0, e1, f1 = new.get(target, (0, 0, 0))
                     new[target] = e0, e1 | a, f1 | b
-                    count += 2 * (not e1)
-            if count > most:
+            if len(new) > most:
                 raise CapacityError(
                     f"the lc dynamic program needs more than {_BYTE_BUDGET} bytes "
                     f"at vertex {step} of {len(set(itertools.chain(*g.edges)))}"
                 )
-        peak = max(peak, count)
+        peak = max(peak, len(new))
         states = new
     return states[0][1], peak
 
@@ -459,7 +442,7 @@ def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResu
     r, _ = _lemma_lc(g)
     if r <= 1:
         return LcResult(r)
-    witness = _first_witness(g, r - 1, pair_budget)
+    witness = find_nonadjacent_pair(g, r - 1, pair_budget=pair_budget)
     if witness is None:
         raise AssertionError(f"the lemma gives lc = {r}, but level {r - 1} has no witness pair")
     return LcResult(r, witness)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -41,7 +42,9 @@ def run_measured(*argv):
 
     Returns (exit code, stdout, stderr lines, peak RSS in KiB, CPU seconds).
     The interpreter reads its own rusage (RSS in KiB on Linux), so the
-    figures cover the whole run; tracemalloc would slow it 30-fold.
+    figures cover the whole run; tracemalloc would slow it 30-fold.  It runs
+    under a 30-s CPU limit and a 1-GiB address-space limit, so a run that
+    outgrows its bound fails the test instead of filling the host's memory.
     """
     script = (
         "import resource, sys\n"
@@ -51,10 +54,15 @@ def run_measured(*argv):
         "print(use.ru_maxrss, use.ru_utime + use.ru_stime, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-        timeout=120,
+        timeout=120, preexec_fn=limit,
     )
     *lines, usage = done.stderr.splitlines()
     peak_kib, cpu_s = usage.split()
@@ -188,20 +196,20 @@ class TestLcBrute:
         assert peak_kib < 128 * 1024
 
     def test_state_cap_exit_3_under_a_memory_bound(self, tmp_path):
-        # K_12 passes the lc DP's byte budget at its tenth vertex.
+        # K_12 passes the lc DP's byte budget at its ninth vertex.
         source = tmp_path / "k12.edges"
         write_edge_list(Graph.from_edges(12, combinations(range(12), 2)), source)
         code, out, err, peak_kib, _ = run_measured("lc-brute", "--input", str(source))
         assert (code, out) == (3, "")
         assert err == [
-            "error: the lc dynamic program needs more than 67108864 bytes at vertex 10 of 12"
+            "error: the lc dynamic program needs more than 67108864 bytes at vertex 9 of 12"
         ]
         assert peak_kib < 128 * 1024
 
     def test_internal_error_exit_4(self, capsys, monkeypatch):
         # A level lc - 1 without a witness means the lemma DP and the scan
         # disagree: a bug, reported as such and never as an answer.
-        monkeypatch.setattr(gridlc.superline, "_first_witness", lambda g, r, budget: None)
+        monkeypatch.setattr(gridlc.superline, "find_nonadjacent_pair", lambda g, r, **_: None)
         code, out, err = run(capsys, "lc-brute", "--grid", "3", "3")
         assert code == 4
         assert out == ""
@@ -278,6 +286,21 @@ class TestSuperline:
         )
         assert code == 3
         assert "70" in err  # C(8, 4)
+
+    def test_default_vertex_cap_refuses_before_building(self, tmp_path):
+        # C(24, 4) = 10,626 subsets of the 4x4 grid's edges: the pair loop
+        # would test 56 million pairs, gigabytes of edges.
+        source = tmp_path / "grid4x4.edges"
+        write_edge_list(grid(GridSpec(4, 4)), source)
+        out_file = tmp_path / "l4.edges"
+        code, out, err, peak_kib, cpu_s = run_measured(
+            "superline", "--index", "4", "--input", str(source), "--out", str(out_file)
+        )
+        assert (code, out) == (3, "")
+        assert err == ["error: C(24, 4) = 10626 subset vertices exceed the cap of 2500"]
+        assert not out_file.exists()
+        assert cpu_s < 1
+        assert peak_kib < 100 * 1024
 
 
 class TestSliceAndVerify:

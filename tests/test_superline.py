@@ -483,13 +483,13 @@ class TestLemmaDP:
     def test_complete_graph_k10_is_decided(self):
         # Two disjoint K_5 give min(10, 10) + nu(empty) = 10 = lc - 1.
         g = Graph.from_edges(10, itertools.combinations(range(10), 2))
-        assert _lemma_lc(g) == (11, 127_872)
+        assert _lemma_lc(g) == (11, 65_792)
 
     @pytest.mark.parametrize(
         "vertices, edges, peak",
         [
-            (9, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (6, 7), (7, 8)], 233),
-            (7, [(0, k) for k in range(1, 7)] + [(k, k + 1) for k in range(1, 6)] + [(1, 6)], 99),
+            (9, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (6, 7), (7, 8)], 92),
+            (7, [(0, k) for k in range(1, 7)] + [(k, k + 1) for k in range(1, 6)] + [(1, 6)], 36),
         ],
         ids=["K_5 with a pendant path", "wheel on 7 vertices"],
     )
@@ -507,7 +507,7 @@ class TestLemmaDP:
         g = Graph.from_edges(8, itertools.combinations(range(8), 2))
         tracemalloc.start()
         try:
-            assert _lemma_lc(g) == (7, 7_696)
+            assert _lemma_lc(g) == (7, 4_160)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -515,7 +515,7 @@ class TestLemmaDP:
 
     @pytest.mark.parametrize(
         "cols, rows, peak",
-        [(6, 6, 5_978), (5, 10, 1_514), (6, 8, 5_978)],
+        [(6, 6, 2_080), (5, 10, 528), (6, 8, 2_080)],
         ids=["6x6", "5x10", "6x8"],
     )
     def test_equals_closed_form_under_the_default_cap(self, cols, rows, peak):
@@ -549,18 +549,19 @@ class TestLemmaDP:
 
     def test_peak_states_do_not_depend_on_the_numbering(self):
         # The visiting order comes from the graph, so every relabelled copy
-        # holds the same bitsets.  These are the peaks README and ROADMAP
+        # holds the same entries.  These are the peaks README and ROADMAP
         # quote.
         g = grid(GridSpec(4, 4))
         peaks = [_lemma_lc(relabelled(g, seed) if seed else g)[1] for seed in range(4)]
-        assert peaks == [386] * 4
+        assert peaks == [136] * 4
         g = grid(GridSpec(5, 5))
         for seed in range(4):
-            assert _lemma_lc(relabelled(g, seed) if seed else g) == (17, 1_514)
+            assert _lemma_lc(relabelled(g, seed) if seed else g) == (17, 528)
 
     def test_byte_budget_refuses_at_a_pinned_vertex(self, monkeypatch):
-        # A 4x4 bitset is charged 92 bytes plus (decided + 1) * 25 bits, so
-        # 16 KiB holds the bitsets of the first six vertices only.
+        # A 4x4 entry is charged 205 bytes plus three bitsets of
+        # (decided + 1) * 25 bits, so 16 KiB holds the entries of the first
+        # six vertices only.
         import gridlc.superline as superline
 
         monkeypatch.setattr(superline, "_BYTE_BUDGET", 2**14)
@@ -571,9 +572,10 @@ class TestLemmaDP:
         )
 
     def test_byte_budget_charges_the_transposed_bitsets(self, monkeypatch):
-        # Vertex 7 of 4x4 holds 289 bitsets, 101 of them transposed copies,
-        # at 120 bytes each.  32 KiB admits 273, so a charge that skipped
-        # the copies would pass vertex 7 and refuse at vertex 9.
+        # Vertex 7 of 4x4 holds 115 entries with 8 edges decided, each
+        # charged 205 bytes plus three bitsets of 28 bytes: 33,235 bytes.
+        # A charge of two bitsets an entry (30,015 bytes) would pass vertex
+        # 7 under 32 KiB and refuse at vertex 8.
         import gridlc.superline as superline
 
         monkeypatch.setattr(superline, "_BYTE_BUDGET", 2**15)
@@ -583,15 +585,31 @@ class TestLemmaDP:
             "the lc dynamic program needs more than 32768 bytes at vertex 7 of 16"
         )
 
+    def test_byte_budget_is_exact(self, monkeypatch):
+        # Vertices 12 and 13 of 4x4 hold the peak of 136 entries with 17 and
+        # 18 edges decided, each entry charged 205 + 3 * 60 = 385 bytes: the
+        # run's largest charge is 52,360 bytes.  One byte less admits 135
+        # entries, so vertex 12 is refused.
+        import gridlc.superline as superline
+
+        monkeypatch.setattr(superline, "_BYTE_BUDGET", 52_360)
+        assert _lemma_lc(grid(GridSpec(4, 4))) == (11, 136)
+        monkeypatch.setattr(superline, "_BYTE_BUDGET", 52_359)
+        with pytest.raises(CapacityError) as refused:
+            _lemma_lc(grid(GridSpec(4, 4)))
+        assert str(refused.value) == (
+            "the lc dynamic program needs more than 52359 bytes at vertex 12 of 16"
+        )
+
     def test_scans_only_level_lc_minus_one(self, monkeypatch):
         import gridlc.superline as superline
 
         scanned = []
-        scan = superline._first_witness
+        scan = superline.find_nonadjacent_pair
         monkeypatch.setattr(
             superline,
-            "_first_witness",
-            lambda g, r, budget: scanned.append(r) or scan(g, r, budget),
+            "find_nonadjacent_pair",
+            lambda g, r, **kwargs: scanned.append(r) or scan(g, r, **kwargs),
         )
         assert lc_bruteforce(grid(GridSpec(4, 4))).r == 11
         assert scanned == [10]
