@@ -85,24 +85,23 @@ def _cmd_lc_brute(args: argparse.Namespace) -> tuple[int, object, list[str]]:
 
 
 def _cmd_superline(args: argparse.Namespace) -> tuple[int, object, list[str]]:
-    from .fileio import read_edge_list, write_edge_list, write_label_table
-    from .graph import super_line_graph
+    from .fileio import _write_super_line_graph, read_edge_list
 
-    graph = read_edge_list(args.input)
-    result, labels = super_line_graph(graph, args.index, vertex_cap=args.vertex_cap)
     labels_path = args.labels if args.labels is not None else args.out + ".labels"
-    write_edge_list(result, args.out)
-    write_label_table(labels, labels_path)
+    vertices, edges = _write_super_line_graph(
+        read_edge_list(args.input), args.index, args.out, labels_path,
+        vertex_cap=args.vertex_cap,
+    )
     payload = {
         "index": args.index,
-        "vertices": result.vertex_count,
-        "edges": result.edge_count,
+        "vertices": vertices,
+        "edges": edges,
         "out": args.out,
         "labels": labels_path,
     }
     line = (
-        f"wrote index-{args.index} super line graph: {result.vertex_count} vertices, "
-        f"{result.edge_count} edges -> {args.out} (labels -> {labels_path})"
+        f"wrote index-{args.index} super line graph: {vertices} vertices, "
+        f"{edges} edges -> {args.out} (labels -> {labels_path})"
     )
     return EXIT_OK, payload, [line]
 

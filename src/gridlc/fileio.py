@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
+from itertools import compress
 
-from .graph import DEFAULT_EDGE_CAP, Graph
+from .graph import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP, Graph, _selector, _super_line_rows
 
 
 def format_edge_list(graph: Graph) -> str:
-    # One text per endpoint that occurs: memory follows the edge count.
-    first = {u: f"{u} " for u in {u for u, _ in graph.edges}}
-    second = {v: f"{v}\n" for v in {v for _, v in graph.edges}}
-    body = "".join([first[u] + second[v] for u, v in graph.edges])
+    body = "".join([f"{u} {v}\n" for u, v in graph.edges])
     return f"p {graph.vertex_count} {graph.edge_count}\n" + body
 
 
@@ -75,3 +73,33 @@ def format_label_table(labels: Sequence[Sequence[int]]) -> str:
 def write_label_table(labels: Sequence[Sequence[int]], path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(format_label_table(labels))
+
+
+def _write_super_line_graph(
+    graph: Graph,
+    r: int,
+    path: str | os.PathLike,
+    labels_path: str | os.PathLike,
+    *,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
+) -> tuple[int, int]:
+    """Write the super line graph of index ``r`` and its label table.
+
+    The edge list is byte-identical to ``format_edge_list`` of
+    ``super_line_graph(graph, r)[0]`` but streamed one vertex's row at a
+    time, with no edge pair built.  Every check runs before a file is
+    opened.  Returns the vertex and edge counts.
+    """
+    if os.path.realpath(path) == os.path.realpath(labels_path):
+        raise ValueError(f"the edge list and the label table would both be written to {path}")
+    labels, rows = _super_line_rows(graph, r, vertex_cap)
+    edge_count = sum(row.bit_count() for row in rows)
+    tails = [f"{j}\n" for j in range(len(labels))]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"p {len(labels)} {edge_count}\n")
+        for i, row in enumerate(rows):
+            if row:
+                head = f"{i} "
+                handle.write(head + head.join(compress(tails, _selector(row))))
+    write_label_table(labels, labels_path)
+    return len(labels), edge_count

@@ -6,7 +6,10 @@ the two make up the whole value of a graph.  The subset machinery runs on
 one bitmask per edge marking the edges that share an endpoint with it,
 built on first use.  Graphs are frozen and safe to share between threads;
 threads that first read the masks at the same moment compute the same tuple.
-Deciding lc on these graphs is left to :mod:`gridlc.superline`.
+A super line graph is built from one mask of later neighbours per subset
+vertex, computed from per-edge masks over the subsets; no subset pair is
+tested on its own.  Deciding lc on these graphs is left to
+:mod:`gridlc.superline`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cached_property
 
 from .errors import DEFAULT_VERTEX_CAP, CapacityError
@@ -191,28 +194,17 @@ def path(k: int) -> Graph:
     return grid(GridSpec(k, 1))
 
 
-def _subsets(g: Graph, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Every r-subset of edges in lexicographic order as (indices, bits, cover)."""
-    adjacency = g.edge_adjacency
-    for indices in itertools.combinations(range(g.edge_count), r):
-        bits = 0
-        cover = 0
-        for e in indices:
-            bits |= 1 << e
-            cover |= adjacency[e]
-        yield indices, bits, cover
+def _super_line_rows(
+    g: Graph, r: int, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Labels of the super line graph of index ``r`` and its later neighbours.
 
-
-def super_line_graph(
-    g: Graph, r: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """Materialise the super line graph of index ``r`` with vertex labels.
-
-    Returns ``(graph, labels)``: vertex ``k`` of ``graph`` is the ``k``-th
-    r-subset of edge indices in lexicographic order and ``labels[k]`` is
-    that subset.  With ``r = 1`` it is the line graph of ``g``: vertex ``k``
-    is edge ``k``.  Construction tests every subset pair, so cost grows
-    quadratically with the subset count; ``vertex_cap`` bounds it up front.
+    ``labels[i]`` is the ``i``-th r-subset of edge indices in lexicographic
+    order, and bit ``j`` of ``rows[i]`` is set exactly when ``j > i`` and
+    some edge of subset ``i`` touches some other edge of subset ``j``, so
+    the super line graph has ``sum(row.bit_count() for row in rows)`` edges.
+    The cost is O(C(E, r) * r + E) operations on C(E, r)-bit masks, and the
+    rows hold about C(E, r)^2 / 2 bits; no subset pair is tested on its own.
     """
     if r < 1:
         raise ValueError("subset size r must be at least 1")
@@ -224,12 +216,61 @@ def super_line_graph(
             f"C({g.edge_count}, {r}) = {subset_count} subset vertices "
             f"exceed the cap of {vertex_cap}"
         )
-    labels, bitmasks, covers = zip(*_subsets(g, r))
+    labels = tuple(itertools.combinations(range(g.edge_count), r))
+    # holders[e]: the subsets that contain edge e.
+    holders = [0] * g.edge_count
+    for i, subset in enumerate(labels):
+        for e in subset:
+            holders[e] |= 1 << i
+    # near[e]: the subsets holding an edge other than e that shares an
+    # endpoint with e, from prefix and suffix ORs over each vertex's edges.
+    incident: defaultdict[int, list[int]] = defaultdict(list)
+    for e, (u, v) in enumerate(g.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    near = [0] * g.edge_count
+    for edges in incident.values():
+        before = after = 0
+        for e, f in zip(edges, reversed(edges)):
+            near[e] |= before
+            before |= holders[e]
+            near[f] |= after
+            after |= holders[f]
+    rows = []
+    for i, subset in enumerate(labels):
+        row = 0
+        for e in subset:
+            row |= near[e]
+        rows.append(row >> (i + 1) << (i + 1))
+    return labels, rows
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selector(mask: int) -> bytes:
+    """Byte ``j`` is bit ``j`` of ``mask`` (0 or 1), for ``itertools.compress``."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def super_line_graph(
+    g: Graph, r: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """Materialise the super line graph of index ``r`` with vertex labels.
+
+    Returns ``(graph, labels)``: vertex ``k`` of ``graph`` is the ``k``-th
+    r-subset of edge indices in lexicographic order and ``labels[k]`` is
+    that subset.  With ``r = 1`` it is the line graph of ``g``: vertex ``k``
+    is edge ``k``.  Each subset's later neighbours come as one mask from
+    ``_super_line_rows`` rather than from a test per subset pair, and
+    ``vertex_cap`` bounds the subset count before anything is built.
+    """
+    labels, rows = _super_line_rows(g, r, vertex_cap)
+    everyone = range(len(labels))
     # Pairs come out as (i < j), unique and in range, so the graph is built
     # directly rather than revalidated by Graph.from_edges.
-    pairs: list[tuple[int, int]] = []
-    for i, cover in enumerate(covers):
-        for j in range(i + 1, subset_count):
-            if cover & bitmasks[j]:
-                pairs.append((i, j))
-    return Graph(subset_count, tuple(pairs)), labels
+    pairs = itertools.chain.from_iterable(
+        zip(itertools.repeat(i), itertools.compress(everyone, _selector(row)))
+        for i, row in enumerate(rows)
+    )
+    return Graph(len(labels), tuple(pairs)), labels

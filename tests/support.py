@@ -54,6 +54,18 @@ def subsets_adjacent_naive(graph: Graph, first, second) -> bool:
     return touching_pair_naive(graph, first, second) is not None
 
 
+def super_line_graph_naive(graph: Graph, r: int):
+    """``(graph, labels)`` of the index-r super line graph, by testing every pair."""
+    labels = tuple(combinations(range(graph.edge_count), r))
+    pairs = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if subsets_adjacent_naive(graph, labels[i], labels[j])
+    ]
+    return Graph(len(labels), tuple(pairs)), labels
+
+
 def find_pair_naive(graph: Graph, r: int):
     """Lexicographically first non-adjacent pair of r-subsets, or None."""
     subsets = list(combinations(range(graph.edge_count), r))
@@ -292,6 +304,27 @@ def random_simple_graphs(count: int, *, max_edges: int = 10, seed: int = 2024061
         edge_count = rng.randint(0, min(max_edges, len(pairs)))
         graphs.append(Graph.from_edges(vertices, rng.sample(pairs, edge_count)))
     return graphs
+
+
+def super_line_cases():
+    """``(graph, r)`` inputs on which super line graphs are checked.
+
+    Random graphs at r = 1..4 and at r = E (one vertex), a perfect matching
+    (no edges at r = 1), the star K_1,6 (complete at every r) and a triangle
+    with a pendant edge among isolated vertices.
+    """
+    cases = [
+        (g, r)
+        for g in random_simple_graphs(200, max_edges=10)
+        for r in sorted({*range(1, min(4, g.edge_count) + 1), g.edge_count} - {0})
+    ]
+    matching = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    star = Graph.from_edges(7, [(0, k) for k in range(1, 7)])
+    isolated = Graph.from_edges(10, [(1, 4), (4, 6), (1, 6), (6, 8)])
+    cases.append((matching, 1))
+    cases.extend((star, r) for r in range(1, 7))
+    cases.extend((isolated, r) for r in range(1, 5))
+    return cases
 
 
 @st.composite

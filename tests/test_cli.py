@@ -299,8 +299,40 @@ class TestSuperline:
         assert (code, out) == (3, "")
         assert err == ["error: C(24, 4) = 10626 subset vertices exceed the cap of 2500"]
         assert not out_file.exists()
+        assert list(tmp_path.iterdir()) == [source]
         assert cpu_s < 1
         assert peak_kib < 100 * 1024
+
+    def test_index_3_of_4x4_streams_in_little_memory(self, tmp_path):
+        # 2,024 subset vertices and 1,750,586 edges: written as rows of
+        # later neighbours, with no (i, j) pair held in memory.
+        source = tmp_path / "grid4x4.edges"
+        write_edge_list(grid(GridSpec(4, 4)), source)
+        out_file = tmp_path / "l3.edges"
+        code, out, err, peak_kib, _ = run_measured(
+            "superline", "--index", "3", "--input", str(source), "--out", str(out_file)
+        )
+        assert (code, err) == (0, [])
+        assert out == (
+            "wrote index-3 super line graph: 2024 vertices, 1750586 edges "
+            f"-> {out_file} (labels -> {out_file}.labels)\n"
+        )
+        assert peak_kib < 64 * 1024
+        with open(out_file, encoding="utf-8") as handle:
+            assert handle.readline() == "p 2024 1750586\n"
+            assert sum(1 for _ in handle) == 1_750_586
+
+    def test_labels_and_out_naming_one_file_exit_2(self, capsys, tmp_path):
+        source = tmp_path / "p5.edges"
+        write_edge_list(path(5), source)
+        out_file = tmp_path / "l2.edges"
+        code, out, err = run(
+            capsys, "superline", "--index", "2", "--input", str(source),
+            "--out", str(out_file), "--labels", str(tmp_path / "." / "l2.edges"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: the edge list and the label table would both be written to {out_file}\n"
+        assert not out_file.exists()
 
 
 class TestSliceAndVerify:

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from gridlc import (
+    CapacityError,
     Graph,
     GridSpec,
     format_edge_list,
@@ -14,7 +15,8 @@ from gridlc import (
     super_line_graph,
     write_edge_list,
 )
-from support import random_simple_graphs
+from gridlc.fileio import _write_super_line_graph
+from support import random_simple_graphs, super_line_cases, super_line_graph_naive
 
 
 def edge_list_reference(graph):
@@ -121,3 +123,31 @@ def test_format_memory_follows_edges_not_declared_vertices():
 )
 def test_label_table_matches_per_edge_reference(labels):
     assert format_label_table(labels) == label_table_reference(labels)
+
+
+def test_streamed_super_line_graph_matches_pair_loop(tmp_path):
+    target, labels_path = tmp_path / "sl.edges", tmp_path / "sl.labels"
+    for g, r in super_line_cases():
+        expected, labels = super_line_graph_naive(g, r)
+        counts = _write_super_line_graph(g, r, target, labels_path)
+        assert counts == (expected.vertex_count, expected.edge_count), (g, r)
+        assert target.read_bytes() == format_edge_list(expected).encode(), (g, r)
+        assert labels_path.read_text() == format_label_table(labels), (g, r)
+
+
+@pytest.mark.parametrize(
+    "r, vertex_cap, error, message",
+    [
+        (0, 100, ValueError, "at least 1"),
+        (6, 100, ValueError, "exceeds the 5 available edges"),
+        (2, 9, CapacityError, r"C\(5, 2\) = 10 subset vertices exceed the cap of 9"),
+    ],
+    ids=["r-zero", "r-above-edges", "vertex-cap"],
+)
+def test_streamed_super_line_graph_checks_before_opening(tmp_path, r, vertex_cap, error, message):
+    with pytest.raises(error, match=message):
+        _write_super_line_graph(
+            path(6), r, tmp_path / "sl.edges", tmp_path / "sl.labels", vertex_cap=vertex_cap
+        )
+    assert list(tmp_path.iterdir()) == []
+

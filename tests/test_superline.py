@@ -37,6 +37,8 @@ from support import (
     random_simple_graphs,
     share_endpoint,
     subsets_adjacent_naive,
+    super_line_cases,
+    super_line_graph_naive,
 )
 
 
@@ -99,6 +101,10 @@ class TestSuperLineGraph:
         assert labels == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         # Built directly, the output still passes the validating constructor.
         assert g == Graph.from_edges(g.vertex_count, g.edges, edge_cap=None)
+
+    def test_matches_pair_loop(self):
+        for g, r in super_line_cases():
+            assert super_line_graph(g, r) == super_line_graph_naive(g, r), (g, r)
 
     def test_index_one_reduces_to_line_graph(self):
         base = path(5)
