@@ -8,10 +8,9 @@ from __future__ import annotations
 DEFAULT_PAIR_BUDGET = 2**24
 
 #: Default cap on the number of subset vertices a super line graph may have.
-#: Construction tests all C(cap, 2) vertex pairs, and each may be an edge: at
-#: the cap, ``gridlc superline --index 1`` on the star K_1,2500, whose super
-#: line graph is K_2500 with 3,123,750 edges, took about 570 MB of RSS and
-#: 2 s of CPU for the whole process.
+#: It bounds the output, up to C(cap, 2) edges: at the cap, ``superline
+#: --index 1`` on the star K_1,2500 streams K_2500's 3,123,750 edges in about
+#: 0.3 s and 18 MB, while ``super_line_graph`` holds them all in about 330 MB.
 DEFAULT_VERTEX_CAP = 2500
 
 

@@ -87,11 +87,18 @@ def _write_super_line_graph(
 
     The edge list is byte-identical to ``format_edge_list`` of
     ``super_line_graph(graph, r)[0]`` but streamed one vertex's row at a
-    time, with no edge pair built.  Every check runs before a file is
-    opened.  Returns the vertex and edge counts.
+    time, with no edge pair built.  Every check, the output directories'
+    included, runs before a file is opened.  Returns the vertex and edge
+    counts.
     """
     if os.path.realpath(path) == os.path.realpath(labels_path):
         raise ValueError(f"the edge list and the label table would both be written to {path}")
+    for target in (path, labels_path):
+        folder = os.path.dirname(target) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"cannot write {target}: {folder} is not a directory")
+        if os.path.isdir(target):
+            raise ValueError(f"cannot write {target}: it is a directory")
     labels, rows = _super_line_rows(graph, r, vertex_cap)
     edge_count = sum(row.bit_count() for row in rows)
     tails = [f"{j}\n" for j in range(len(labels))]

@@ -103,8 +103,27 @@ class Graph(namedtuple("Graph", "vertex_count edges")):
         return (1 << len(self.edges)) - 1
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _selector(mask: int) -> bytes:
+    """Byte ``j`` is bit ``j`` of ``mask`` (0 or 1), for ``itertools.compress``.
+
+    With its inverse :func:`_mask`, the package's one conversion between a
+    bitmask and its set positions, such as an :class:`EdgeSet`'s indices.
+    Both are linear in the bits; base 2 is exempt from ``int``'s digit limit.
+    """
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _mask(flags: bytes | bytearray) -> int:
+    """Inverse of :func:`_selector`: bit ``j`` is byte ``j`` of ``flags`` (0 or 1)."""
+    return int(b"0" + flags[::-1].translate(_BYTE_BITS), 2)
+
+
 class EdgeSet(namedtuple("EdgeSet", "graph bits")):
-    """A set of edge indices of one particular graph, stored as a bitmask."""
+    """Edge indices of one graph as a bitmask, converted by ``_selector``/``_mask``."""
 
     __slots__ = ()
     # _replace builds through _make, which would skip the checks in __new__.
@@ -117,14 +136,13 @@ class EdgeSet(namedtuple("EdgeSet", "graph bits")):
 
     @staticmethod
     def from_indices(graph: Graph, indices: Iterable[int]) -> EdgeSet:
-        bits = 0
+        count = graph.edge_count
+        flags = bytearray(count)
         for index in indices:
-            if not 0 <= index < graph.edge_count:
-                raise ValueError(
-                    f"edge index {index} out of range for a graph with {graph.edge_count} edges"
-                )
-            bits |= 1 << index
-        return EdgeSet(graph, bits)
+            if not 0 <= index < count:
+                raise ValueError(f"edge index {index} out of range for a graph with {count} edges")
+            flags[index] = 1
+        return EdgeSet(graph, _mask(flags))
 
     @property
     def cardinality(self) -> int:
@@ -132,13 +150,7 @@ class EdgeSet(namedtuple("EdgeSet", "graph bits")):
 
     def indices(self) -> tuple[int, ...]:
         """Member edge indices in ascending order."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(itertools.compress(range(self.graph.edge_count), _selector(self.bits)))
 
 
 class GridSpec(namedtuple("GridSpec", "cols rows")):
@@ -243,14 +255,6 @@ def _super_line_rows(
             row |= near[e]
         rows.append(row >> (i + 1) << (i + 1))
     return labels, rows
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _selector(mask: int) -> bytes:
-    """Byte ``j`` is bit ``j`` of ``mask`` (0 or 1), for ``itertools.compress``."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def super_line_graph(

@@ -24,11 +24,12 @@ instead of trusting the adjacency masks.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import defaultdict
 from typing import Mapping, NamedTuple
 
 from .formula import lc_grid_formula
-from .graph import EdgeSet, Graph, GridSpec, grid
+from .graph import EdgeSet, Graph, GridSpec, _mask, grid
 
 
 class Orientation(enum.Enum):
@@ -72,14 +73,10 @@ def _line_side(pos: int, length: int, cross_pos: int, cross_length: int) -> str 
     odd-by-odd grid.
     """
     half = length // 2
-    if length % 2 == 0:
-        return "A" if pos < half else "B"
-    if pos != half:
+    if length % 2 == 0 or pos != half:
         return "A" if pos < half else "B"
     cross_half = cross_length // 2
-    if cross_length % 2 == 0:
-        return "A" if cross_pos < cross_half else "B"
-    if cross_pos == cross_half:
+    if cross_length % 2 == 1 and cross_pos == cross_half:
         return None
     return "A" if cross_pos < cross_half else "B"
 
@@ -100,35 +97,26 @@ def slice_grid(spec: GridSpec, axis: str) -> Slicing:
         if n % 2 == 1 and m < 2:
             raise ValueError("slicing an odd number of columns needs at least 2 rows")
         orientation = Orientation.VERTICAL if n % 2 == 0 else Orientation.ALMOST_VERTICAL
-
-        def side(row: int, col: int) -> str | None:
-            return _line_side(col, n, row, m)
-
     elif axis == "horizontal":
         if m < 2:
             raise ValueError("horizontal slicing needs at least 2 rows")
         if m % 2 == 1 and n < 2:
             raise ValueError("slicing an odd number of rows needs at least 2 columns")
         orientation = Orientation.HORIZONTAL if m % 2 == 0 else Orientation.ALMOST_HORIZONTAL
-
-        def side(row: int, col: int) -> str | None:
-            return _line_side(row, m, col, n)
-
     else:
         raise ValueError(f"unknown axis {axis!r}; expected 'vertical' or 'horizontal'")
 
+    # The side table is built only once grid() has passed its edge cap.
     g = grid(spec)
-    a_bits = b_bits = removed = 0
-    for index, (u, v) in enumerate(g.edges):
-        side_u = side(*spec.vertex_coords(u))
-        side_v = side(*spec.vertex_coords(v))
-        bit = 1 << index
-        if side_u == "A" and side_v == "A":
-            a_bits |= bit
-        elif side_u == "B" and side_v == "B":
-            b_bits |= bit
-        else:
-            removed |= bit
+    cells = itertools.product(range(m), range(n))  # (row, col) in vertex order
+    if axis == "vertical":
+        sides = [_line_side(col, n, row, m) for row, col in cells]
+    else:
+        sides = [_line_side(row, m, col, n) for row, col in cells]
+    a_bits, b_bits = (
+        _mask(bytes([sides[u] == sides[v] == name for u, v in g.edges])) for name in "AB"
+    )
+    removed = g.full_edge_mask() & ~(a_bits | b_bits)
     return Slicing(spec, orientation, EdgeSet(g, a_bits), EdgeSet(g, b_bits), EdgeSet(g, removed))
 
 

@@ -45,7 +45,7 @@ from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 
 from .errors import DEFAULT_PAIR_BUDGET, CapacityError
-from .graph import EdgeSet, Graph
+from .graph import EdgeSet, Graph, _selector
 
 
 def _adjacency_cover(graph: Graph, bits: int) -> int:
@@ -53,11 +53,8 @@ def _adjacency_cover(graph: Graph, bits: int) -> int:
     # appears in its own mask, so a shared edge alone never makes two
     # subsets adjacent.
     cover = 0
-    adjacency = graph.edge_adjacency
-    while bits:
-        low = bits & -bits
-        cover |= adjacency[low.bit_length() - 1]
-        bits ^= low
+    for adjacent in itertools.compress(graph.edge_adjacency, _selector(bits)):
+        cover |= adjacent
     return cover
 
 

@@ -12,7 +12,11 @@ reference the DP is checked against where the scan is fast enough.
 ``lc_grid_transfer`` decides grids from the lemma by its own
 transfer-matrix DP, the reference for grids the scan cannot reach.
 ``frontier_steps_reference`` is the lemma DP's visit order and field
-layout, worked out afresh at every step.
+layout, worked out afresh at every step.  ``indices_reference``,
+``from_indices_reference`` and ``sets_adjacent_reference`` convert between
+masks and index lists one bit at a time, and ``slice_grid_reference``
+applies the cut rule of the ``gridlc.slicing`` docstring to each edge's
+endpoint cells.
 """
 
 from __future__ import annotations
@@ -52,6 +56,68 @@ def touching_pair_naive(graph: Graph, first, second):
 
 def subsets_adjacent_naive(graph: Graph, first, second) -> bool:
     return touching_pair_naive(graph, first, second) is not None
+
+
+def indices_reference(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``bits``, tested one bit at a time."""
+    return tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
+
+
+def from_indices_reference(edge_count: int, indices) -> int:
+    """Mask of ``indices``, set one bit at a time; an out-of-range index
+    raises the message ``EdgeSet.from_indices`` gives for it."""
+    bits = 0
+    for index in indices:
+        if not 0 <= index < edge_count:
+            raise ValueError(
+                f"edge index {index} out of range for a graph with {edge_count} edges"
+            )
+        bits |= 1 << index
+    return bits
+
+
+def sets_adjacent_reference(graph: Graph, first_bits: int, second_bits: int) -> bool:
+    """Whether the edges of two masks touch, read bit by bit and compared by endpoint."""
+    return subsets_adjacent_naive(
+        graph, indices_reference(first_bits), indices_reference(second_bits)
+    )
+
+
+def slice_grid_reference(cols: int, rows: int, axis: str):
+    """``(orientation value, A, B, R)`` of the documented cut, or None where none exists.
+
+    Worked from the ``gridlc.slicing`` docstring: each cross line has a
+    boundary, and its cells before the boundary are A and the rest B.  An
+    even cut dimension puts the boundary at its middle.  An odd one puts it
+    after the centre cell on the first half of the cross lines and before
+    it on the rest, except that the centre cell of an odd-by-odd grid joins
+    neither side.  An edge whose endpoint cells are both A is in A, both B
+    in B, anything else in R.  Edges are numbered as ``GridSpec`` says.
+    """
+    cut, cross = (cols, rows) if axis == "vertical" else (rows, cols)
+    if cut < 2 or (cut % 2 == 1 and cross < 2):
+        return None
+
+    def side(cell):
+        row, col = cell
+        along, line = (col, row) if axis == "vertical" else (row, col)
+        boundary = cut // 2
+        if cut % 2 == 1:
+            if cross % 2 == 1 and 2 * line + 1 == cross:
+                if along == boundary:
+                    return None
+            elif 2 * line < cross:
+                boundary += 1
+        return "A" if along < boundary else "B"
+
+    horizontal = [((i, j), (i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    vertical = [((i, j), (i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    sides = {"A": [], "B": [], "R": []}
+    for index, (u, v) in enumerate(horizontal + vertical):
+        side_u, side_v = side(u), side(v)
+        sides[side_u if side_u == side_v and side_u is not None else "R"].append(index)
+    orientation = axis if cut % 2 == 0 else f"almost-{axis}"
+    return orientation, tuple(sides["A"]), tuple(sides["B"]), tuple(sides["R"])
 
 
 def super_line_graph_naive(graph: Graph, r: int):

@@ -334,6 +334,35 @@ class TestSuperline:
         assert err == f"error: the edge list and the label table would both be written to {out_file}\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("labels", ["missing/x.labels", "p5.edges/x.labels", "."])
+    def test_unwritable_labels_path_exit_2_before_writing(self, capsys, tmp_path, labels):
+        # The label table's directory is checked before the edge list is
+        # opened, so an existing --out file is left as it was.
+        source = tmp_path / "p5.edges"
+        write_edge_list(path(5), source)
+        out_file = tmp_path / "l2.edges"
+        out_file.write_text("kept\n")
+        labels_path = str(tmp_path / labels)
+        code, out, err = run(
+            capsys, "superline", "--index", "2", "--input", str(source),
+            "--out", str(out_file), "--labels", labels_path,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {labels_path}: ") and err.count("\n") == 1
+        assert out_file.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [out_file, source]
+
+    def test_missing_out_directory_exit_2(self, capsys, tmp_path):
+        source = tmp_path / "p5.edges"
+        write_edge_list(path(5), source)
+        out_file = tmp_path / "missing" / "l2.edges"
+        code, out, err = run(
+            capsys, "superline", "--index", "2", "--input", str(source), "--out", str(out_file),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {out_file}: {out_file.parent} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [source]
+
 
 class TestSliceAndVerify:
     def test_round_trip(self, capsys, tmp_path):
@@ -364,6 +393,20 @@ class TestSliceAndVerify:
         assert code == 0
         assert "all 5 checks passed" in out
         assert built == [GridSpec(6, 4)] * 2
+
+    def test_largest_grid_slices_and_verifies_in_linear_time(self, tmp_path):
+        # Each side holds about 32,000 of the 65,160 edges.  Converting masks
+        # to index lists one bit at a time took 0.59-0.93 s of CPU to slice
+        # and 0.45-0.68 s to verify; one pass takes 0.18-0.27 s each.
+        code, out, err, _, slice_cpu_s = run_measured("slice", "--cols", "181", "--rows", "181")
+        assert (code, err) == (0, [])
+        document = tmp_path / "slicing.json"
+        document.write_text(out)
+        code, out, err, _, verify_cpu_s = run_measured("verify", "--slicing", str(document))
+        assert (code, err) == (0, [])
+        assert out.splitlines()[-1] == "all 5 checks passed"
+        assert slice_cpu_s < 0.4
+        assert verify_cpu_s < 0.4
 
     def test_explicit_axis(self, capsys):
         code, out, _ = run(capsys, "slice", "--cols", "6", "--rows", "4", "--axis", "horizontal")

@@ -20,7 +20,12 @@ from gridlc import (
     verify_slicing,
 )
 from gridlc.slicing import expected_removed_count
-from support import subsets_adjacent_naive, touching_pair_naive
+from support import (
+    indices_reference,
+    slice_grid_reference,
+    subsets_adjacent_naive,
+    touching_pair_naive,
+)
 
 
 class TestSliceGrid:
@@ -53,6 +58,19 @@ class TestSliceGrid:
         assert s.A.indices() == (0, 6, 9)
         assert s.B.indices() == (5, 8, 11)
         assert s.R.indices() == (1, 2, 3, 4, 7, 10)
+
+    @pytest.mark.parametrize("axis", ["vertical", "horizontal"])
+    def test_matches_reference_on_every_grid_to_30(self, axis):
+        for cols in range(1, 31):
+            for rows in range(1, 31):
+                expected = slice_grid_reference(cols, rows, axis)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        slice_grid(GridSpec(cols, rows), axis)
+                    continue
+                s = slice_grid(GridSpec(cols, rows), axis)
+                sides = tuple(indices_reference(side.bits) for side in (s.A, s.B, s.R))
+                assert (s.orientation.value, *sides) == expected, (cols, rows)
 
     def test_horizontal_is_transpose_of_vertical(self):
         v = slice_grid(GridSpec(6, 4), "vertical")

@@ -25,9 +25,11 @@ from gridlc.superline import _frontier_steps, _lemma_lc, _lemma_points
 from support import (
     find_pair_naive,
     first_witness_scan,
+    from_indices_reference,
     frontier_steps_reference,
     graphs,
     grids_with_at_most,
+    indices_reference,
     lc_grid_transfer,
     lc_lemma_naive,
     lc_naive,
@@ -35,11 +37,39 @@ from support import (
     lemma_points_naive,
     line_graph_naive,
     random_simple_graphs,
+    sets_adjacent_reference,
     share_endpoint,
     subsets_adjacent_naive,
     super_line_cases,
     super_line_graph_naive,
 )
+
+
+def sample_masks(edge_count: int, count: int, seed: int) -> list[int]:
+    """The empty and full masks, then dense and sparse random masks in turn."""
+    rng = random.Random(seed)
+    masks = [0, (1 << edge_count) - 1]
+    for _ in range(count):
+        dense = rng.getrandbits(edge_count)
+        masks += [dense, dense & rng.getrandbits(edge_count) & rng.getrandbits(edge_count)]
+    return masks
+
+
+def conversion_cases():
+    """``(graph, masks)``: E = 0, random graphs, a 12x12 grid and 181x181."""
+    cases = [(path(1), [0])]
+    cases += [(g, sample_masks(g.edge_count, 6, seed))
+              for seed, g in enumerate(random_simple_graphs(60, max_edges=14))]
+    cases.append((grid(GridSpec(12, 12)), sample_masks(264, 10, 1)))
+    # The per-bit references are quadratic here, so only a few masks.
+    cases.append((grid(GridSpec(181, 181)), sample_masks(65_160, 1, 2)))
+    return cases
+
+
+def raised_message(call, *args) -> str:
+    with pytest.raises(ValueError) as caught:
+        call(*args)
+    return str(caught.value)
 
 
 class TestEdgeSet:
@@ -57,6 +87,25 @@ class TestEdgeSet:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             EdgeSet(path(3), 0b100)
+
+    def test_conversions_match_per_bit_references(self):
+        rng = random.Random(7)
+        for g, masks in conversion_cases():
+            for bits in masks:
+                members = indices_reference(bits)
+                assert EdgeSet(g, bits).indices() == members
+                # Repeats and any order give the same set.
+                shuffled = list(members) + rng.sample(members, min(len(members), 5))
+                rng.shuffle(shuffled)
+                assert EdgeSet.from_indices(g, shuffled).bits == bits
+                assert from_indices_reference(g.edge_count, shuffled) == bits
+
+    def test_from_indices_reports_the_first_index_out_of_range(self):
+        for g, _ in conversion_cases():
+            e = g.edge_count
+            for indices in ([e], [-1, e], [0, e + 5, -1], [e - 1, e - 1, -2, e]):
+                expected = raised_message(from_indices_reference, e, indices)
+                assert raised_message(EdgeSet.from_indices, g, indices) == expected
 
 
 class TestSetsAdjacent:
@@ -80,6 +129,13 @@ class TestSetsAdjacent:
         s = EdgeSet.from_indices(g, [0])
         with pytest.raises(ValueError):
             sets_adjacent(h, s, s)
+
+    def test_matches_per_bit_reference(self):
+        # 181x181 is left out: its adjacency masks alone would take 0.5 GB.
+        for g, masks in conversion_cases()[:-1]:
+            for s, t in itertools.product(masks[:8], repeat=2):
+                expected = sets_adjacent_reference(g, s, t)
+                assert sets_adjacent(g, EdgeSet(g, s), EdgeSet(g, t)) == expected
 
     @given(graphs(min_edges=1), st.data())
     def test_matches_naive_and_symmetric(self, g, data):
