@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .errors import DEFAULT_PAIR_BUDGET, DEFAULT_VERTEX_CAP, CapacityError
+from . import DEFAULT_PAIR_BUDGET, DEFAULT_VERTEX_CAP, CapacityError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

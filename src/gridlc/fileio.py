@@ -12,7 +12,8 @@ import os
 from collections.abc import Sequence
 from itertools import compress
 
-from .graph import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP, Graph, _selector, _super_line_rows
+from . import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP
+from .graph import Graph, _selector, _super_line_rows
 
 
 def format_edge_list(graph: Graph) -> str:

@@ -20,11 +20,7 @@ from collections import defaultdict, namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 
-from .errors import DEFAULT_VERTEX_CAP, CapacityError
-
-#: Default cap on user-supplied edge lists.  Grids and paths are checked
-#: against their own cap, and super line graphs against a vertex cap.
-DEFAULT_EDGE_CAP = 4096
+from . import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP, CapacityError
 
 # Admits a 181x181 grid (65,160 edges); checked before any edge is built.
 _GRID_EDGE_CAP = 2**16
@@ -179,12 +175,6 @@ class GridSpec(namedtuple("GridSpec", "cols rows")):
     def edge_count(self) -> int:
         return 2 * self.cols * self.rows - self.cols - self.rows
 
-    def vertex_coords(self, vertex: int) -> tuple[int, int]:
-        """``(row, col)`` of cell ``vertex``, so that ``row * cols + col == vertex``."""
-        if not 0 <= vertex < self.vertex_count:
-            raise ValueError(f"vertex {vertex} outside a {self.cols}x{self.rows} grid")
-        return divmod(vertex, self.cols)
-
 
 def grid(spec: GridSpec) -> Graph:
     """Grid graph with the vertex ids and edge indices of :class:`GridSpec`."""
@@ -270,11 +260,11 @@ def super_line_graph(
     ``vertex_cap`` bounds the subset count before anything is built.
     """
     labels, rows = _super_line_rows(g, r, vertex_cap)
-    everyone = range(len(labels))
-    # Pairs come out as (i < j), unique and in range, so the graph is built
-    # directly rather than revalidated by Graph.from_edges.
+    ids = tuple(range(len(labels)))
+    # The pairs ending at j share one int, ids[j].  Pairs are (i < j), unique
+    # and in range, so the graph is built without Graph.from_edges' checks.
     pairs = itertools.chain.from_iterable(
-        zip(itertools.repeat(i), itertools.compress(everyone, _selector(row)))
+        zip(itertools.repeat(i), itertools.compress(ids, _selector(row)))
         for i, row in enumerate(rows)
     )
     return Graph(len(labels), tuple(pairs)), labels

@@ -44,25 +44,21 @@ import itertools
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 
-from .errors import DEFAULT_PAIR_BUDGET, CapacityError
+from . import DEFAULT_PAIR_BUDGET, CapacityError
 from .graph import EdgeSet, Graph, _selector
-
-
-def _adjacency_cover(graph: Graph, bits: int) -> int:
-    # Union of the adjacency masks of the member edges.  An edge never
-    # appears in its own mask, so a shared edge alone never makes two
-    # subsets adjacent.
-    cover = 0
-    for adjacent in itertools.compress(graph.edge_adjacency, _selector(bits)):
-        cover |= adjacent
-    return cover
 
 
 def sets_adjacent(g: Graph, s: EdgeSet, t: EdgeSet) -> bool:
     """True when some edge of ``s`` touches a different edge of ``t``."""
     if s.graph != g or t.graph != g:
         raise ValueError("edge sets must belong to the queried graph")
-    return bool(_adjacency_cover(g, s.bits) & t.bits)
+    # Union of the adjacency masks of the member edges.  An edge never
+    # appears in its own mask, so a shared edge alone never makes two
+    # subsets adjacent.
+    cover = 0
+    for adjacent in itertools.compress(g.edge_adjacency, _selector(s.bits)):
+        cover |= adjacent
+    return bool(cover & t.bits)
 
 
 class WitnessPair(namedtuple("WitnessPair", "S T r")):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -151,13 +153,6 @@ class TestGrid:
                 v = row * cols + col
                 assert g.edges[rows * (cols - 1) + row * cols + col] == (v, v + cols)
 
-    def test_vertex_coords_roundtrip(self):
-        spec = GridSpec(5, 3)
-        for vertex in range(spec.vertex_count):
-            row, col = spec.vertex_coords(vertex)
-            assert 0 <= row < spec.rows and 0 <= col < spec.cols
-            assert row * spec.cols + col == vertex
-
     @pytest.mark.parametrize("cols,rows", [(2, 5), (3, 4), (6, 4), (7, 5)])
     def test_transpose_has_same_counts_and_degrees(self, cols, rows):
         a = grid(GridSpec(cols, rows))
@@ -246,3 +241,17 @@ class TestLineGraph:
     @given(graphs(min_edges=1))
     def test_edges_exactly_the_adjacent_pairs(self, g):
         assert super_line_graph(g, 1)[0] == line_graph_naive(g)
+
+    def test_pairs_share_their_vertex_ids(self):
+        # The star K_1,600 has the complete line graph K_600, 179,700 edges.
+        # Each edge holds a 2-tuple (56 bytes) and its slot in the edge tuple
+        # (8 bytes); an int object per pair for j would add 32 more.
+        star = Graph.from_edges(601, [(0, leaf) for leaf in range(1, 601)])
+        tracemalloc.start()
+        try:
+            lg, _ = super_line_graph(star, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lg.edge_count == 600 * 599 // 2
+        assert held / lg.edge_count < 72

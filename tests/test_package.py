@@ -1,4 +1,4 @@
-"""The lazy package, the modules each CLI command loads, and the immutable records.
+"""The lazy package, the modules each CLI command loads, the shared error, and the records.
 
 Import-state tests run a fresh interpreter, because this process has
 already imported every gridlc module through the other tests.
@@ -93,6 +93,51 @@ for name in {absent!r}:
     def test_import_loads_no_submodule(self):
         out = run_fresh("import sys, gridlc; print(sorted(m for m in sys.modules if m.startswith('gridlc')))")
         assert out == "['gridlc']\n"
+
+    def test_cli_import_loads_the_root_and_cli_alone(self):
+        # The default caps and CapacityError live in the package root.
+        out = run_fresh("import sys, gridlc.cli; print(sorted(m for m in sys.modules if m.startswith('gridlc')))")
+        assert out == "['gridlc', 'gridlc.cli']\n"
+
+    @pytest.mark.parametrize("module", ["graph", "superline", "slicing", "fileio", "formula", "cli"])
+    def test_module_imports_first(self, module):
+        out = run_fresh(f"import gridlc.{module}; print('ok')")
+        assert out == "ok\n"
+
+
+class TestCapacityError:
+    # Each refusal runs in a fresh interpreter that imports the module first.
+    REFUSE = """
+import gridlc.{module} as module
+import gridlc
+try:
+    {call}
+except Exception as exc:
+    print(type(exc) is gridlc.CapacityError, exc)
+"""
+
+    @pytest.mark.parametrize(
+        "module,call,message",
+        [
+            ("graph", "module.grid(module.GridSpec(182, 182))", "182x182 grid has 65884 edges"),
+            ("graph", "module.super_line_graph(module.path(7), 3, vertex_cap=19)", "C(6, 3) = 20"),
+            ("superline", "module.lc_bruteforce(gridlc.path(30), pair_budget=1)", "level r = 14"),
+            ("fileio", "module.parse_edge_list('p 3 2\\n0 1\\n1 2\\n', edge_cap=1)", "2 edges exceed"),
+        ],
+        ids=["grid", "super-line-graph", "walk", "edge-list"],
+    )
+    def test_every_refusal_is_the_root_class(self, module, call, message):
+        out = run_fresh(self.REFUSE.format(module=module, call=call))
+        assert out.startswith("True ") and message in out
+
+    def test_cli_catches_the_root_class(self):
+        out = run_fresh(
+            "import contextlib, io, gridlc.cli as cli, gridlc\n"
+            "print(vars(cli)['CapacityError'] is gridlc.CapacityError)\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    print(cli.main(['lc-brute', '--path', '30', '--pair-budget', '1']))\n"
+        )
+        assert out == "True\n3\n"
 
 
 class TestLazyPackage:
