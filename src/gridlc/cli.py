@@ -6,6 +6,7 @@ witness walk's budget of mask reads was hit, 4 an internal error, a bug in
 gridlc, reported on one ``internal error:`` line.  A reader that closes
 stdout early (``gridlc slice ... | head``) does not change the exit code.
 
+``main`` reads the arguments against ``COMMANDS`` with ``gridlc.args``.
 Each ``_cmd_*`` handler returns its exit code, its JSON payload and its
 text lines, built from the same values; ``main`` prints the payload under
 ``--output json`` and the lines otherwise.  Each handler imports the gridlc
@@ -15,9 +16,9 @@ is imported only to print ``--output json`` and for ``verify`` to read.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import DEFAULT_PAIR_BUDGET, DEFAULT_VERTEX_CAP, CapacityError
 
@@ -28,18 +29,11 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _edge_set_text(indices) -> str:
     return "{" + ", ".join(f"e{i}" for i in indices) + "}"
 
 
-def _cmd_lc_formula(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+def _cmd_lc_formula(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     from .formula import lc_grid_formula
 
     value, case = lc_grid_formula(args.cols, args.rows)
@@ -47,7 +41,7 @@ def _cmd_lc_formula(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     return EXIT_OK, payload, [f"{value} ({case.value})"]
 
 
-def _load_input_graph(args: argparse.Namespace):
+def _load_input_graph(args: SimpleNamespace):
     if args.input is not None:
         from .fileio import read_edge_list
 
@@ -60,7 +54,7 @@ def _load_input_graph(args: argparse.Namespace):
     return path(args.path)
 
 
-def _cmd_lc_brute(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+def _cmd_lc_brute(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     from .superline import lc_bruteforce
 
     graph = _load_input_graph(args)
@@ -84,7 +78,7 @@ def _cmd_lc_brute(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     return EXIT_OK, payload, [f"lc = {result.r} (brute-force)", witness_line]
 
 
-def _cmd_superline(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+def _cmd_superline(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     from .fileio import _write_super_line_graph, read_edge_list
 
     labels_path = args.labels if args.labels is not None else args.out + ".labels"
@@ -106,7 +100,7 @@ def _cmd_superline(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     return EXIT_OK, payload, [line]
 
 
-def _cmd_slice(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+def _cmd_slice(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     from .graph import GridSpec
     from .slicing import best_slicing, slice_grid, slicing_to_dict
 
@@ -118,7 +112,7 @@ def _cmd_slice(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     return EXIT_OK, slicing_to_dict(slicing), []
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+def _cmd_verify(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     import json
 
     from .slicing import slicing_from_dict, verify_slicing
@@ -146,7 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     return (EXIT_CHECK_FAILED if failed else EXIT_OK), payload, lines
 
 
-def _cmd_xcheck(args: argparse.Namespace) -> tuple[int, object, list[str]]:
+def _cmd_xcheck(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     from .formula import lc_grid_formula
     from .graph import GridSpec, grid
     from .superline import _lemma_lc
@@ -189,76 +183,47 @@ def _cmd_xcheck(args: argparse.Namespace) -> tuple[int, object, list[str]]:
     return (EXIT_CHECK_FAILED if mismatches else EXIT_OK), payload, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridlc",
-        description="Super line graphs, line completion numbers, and grid slicing certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be a positive integer")
+    return value
 
-    output_parent = argparse.ArgumentParser(add_help=False)
-    output_parent.add_argument(
-        "--output", choices=("text", "json"), default="text", help="stdout format"
-    )
 
-    p = sub.add_parser(
-        "lc-formula", parents=[output_parent], help="closed-form lc of a grid"
-    )
-    p.add_argument("--cols", type=int, required=True, help="columns (horizontal extent)")
-    p.add_argument("--rows", type=int, required=True, help="rows (vertical extent)")
-    p.set_defaults(handler=_cmd_lc_formula)
-
-    p = sub.add_parser(
-        "lc-brute", parents=[output_parent], help="brute-force lc of a graph"
-    )
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="edge-list file")
-    source.add_argument("--grid", type=int, nargs=2, metavar=("COLS", "ROWS"))
-    source.add_argument("--path", type=_positive_int, metavar="K")
-    p.add_argument(
-        "--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET,
-        help="cap on the adjacency masks the witness walk at level lc - 1 reads; "
-        "the default decides every graph with at most 24 edges",
-    )
-    p.set_defaults(handler=_cmd_lc_brute)
-
-    p = sub.add_parser(
-        "superline", parents=[output_parent], help="materialise a super line graph"
-    )
-    p.add_argument("--index", type=_positive_int, required=True, help="subset size r")
-    p.add_argument("--input", required=True, help="edge-list file")
-    p.add_argument("--out", required=True, help="output edge-list file")
-    p.add_argument("--labels", help="label table file (default: OUT.labels)")
-    p.add_argument(
-        "--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP,
-        help="cap on subset vertices",
-    )
-    p.set_defaults(handler=_cmd_superline)
-
-    p = sub.add_parser("slice", help="emit a slicing certificate as JSON")
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--axis", choices=("auto", "vertical", "horizontal"), default="auto")
-    p.set_defaults(handler=_cmd_slice, output="json")
-
-    p = sub.add_parser(
-        "verify", parents=[output_parent], help="check a slicing certificate"
-    )
-    p.add_argument("--slicing", required=True, help="slicing JSON file, or - for stdin")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser(
-        "xcheck", parents=[output_parent],
-        help="compare oracle and formula on every small grid",
-    )
-    p.add_argument("--max-edges", type=int, required=True)
-    p.set_defaults(handler=_cmd_xcheck)
-
-    return parser
+# Each command: its handler, help and options, in the form that gridlc.args reads.
+_OUTPUT = ("[--output {text,json}]", str, "text", "stdout format")
+_COLS = ("--cols COLS", int, None, "columns (horizontal extent)")
+_ROWS = ("--rows ROWS", int, None, "rows (vertical extent)")
+COMMANDS = {
+    "lc-formula": (_cmd_lc_formula, "closed-form lc of a grid", (_OUTPUT, _COLS, _ROWS)),
+    "lc-brute": (_cmd_lc_brute, "brute-force lc of a graph", (
+        _OUTPUT, ("(--input INPUT", str, None, "edge-list file"),
+        ("| --grid COLS ROWS", int, None, "the grid of COLS columns and ROWS rows"),
+        ("| --path K)", _positive_int, None, "the path on K vertices"),
+        ("[--pair-budget PAIR_BUDGET]", _positive_int, DEFAULT_PAIR_BUDGET,
+         "cap on the adjacency masks the witness walk at level lc - 1 reads; "
+         "the default decides every graph with at most 24 edges"))),
+    "superline": (_cmd_superline, "materialise a super line graph", (
+        _OUTPUT, ("--index INDEX", _positive_int, None, "subset size r"),
+        ("--input INPUT", str, None, "edge-list file"),
+        ("--out OUT", str, None, "output edge-list file"),
+        ("[--labels LABELS]", str, None, "label table file (default: OUT.labels)"),
+        ("[--vertex-cap VERTEX_CAP]", _positive_int, DEFAULT_VERTEX_CAP,
+         "cap on subset vertices"))),
+    "slice": (_cmd_slice, "emit a slicing certificate as JSON", (
+        _COLS, _ROWS,
+        ("[--axis {auto,vertical,horizontal}]", str, "auto", "direction of the cut"))),
+    "verify": (_cmd_verify, "check a slicing certificate", (
+        _OUTPUT, ("--slicing SLICING", str, None, "slicing JSON file, or - for stdin"))),
+    "xcheck": (_cmd_xcheck, "compare oracle and formula on every small grid", (
+        _OUTPUT, ("--max-edges MAX_EDGES", int, None, "largest edge count to sweep"))),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    from .args import parse
+
+    args = parse(COMMANDS, sys.argv[1:] if argv is None else argv)
     try:
         code, payload, lines = args.handler(args)
         if args.output == "json":

@@ -30,7 +30,7 @@ from gridlc import (
 )
 import gridlc.graph
 import gridlc.superline
-from gridlc.cli import main
+from gridlc.cli import COMMANDS, main
 from support import graphs, touching_pair_naive
 
 
@@ -651,7 +651,7 @@ def edge_lists(draw):
 
 
 def run_in_dir(directory, argv):
-    """``main(argv)`` in ``directory``, counting argparse's exit as an exit code."""
+    """``main(argv)`` in ``directory``, counting a usage error's SystemExit as an exit code."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
@@ -695,27 +695,73 @@ class TestExitCodeFuzz:
         self.check(document, ["superline", "--index", "2", "--input", "input", "--out", "out"])
 
 
+# Usage errors: each exits 2 through SystemExit, as argparse did, with a
+# usage line and one error line on stderr and nothing on stdout.
+USAGE_ERRORS = [
+    [],
+    ["frobnicate"],
+    ["lc-formula", "--cols", "6", "--rows", "4", "--colour", "red"],
+    ["xcheck", "--max-edges", "12", "--pair-budget", "39"],  # xcheck walks for no witness
+    ["lc-formula", "--cols", "6", "--rows"],
+    ["lc-formula", "--cols", "--rows", "4"],
+    ["lc-formula", "--cols", "6", "--rows", "x"],
+    ["lc-brute", "--path", "0"],
+    ["superline", "--index", "0", "--input", "g.edges", "--out", "l.edges"],
+    ["lc-brute", "--path", "5", "--pair-budget", "0"],
+    ["superline", "--index", "2", "--input", "g.edges", "--out", "l.edges", "--vertex-cap", "0"],
+    ["lc-formula", "--cols", "6", "--rows", "4", "--output", "xml"],
+    ["slice", "--cols", "6", "--rows", "4", "--axis", "diagonal"],
+    ["slice", "--cols", "6", "--rows", "4", "--output", "text"],
+    ["lc-formula", "--cols", "6"],
+    ["verify"],
+    ["lc-brute"],
+    ["lc-brute", "--path", "5", "--grid", "3", "3"],
+    ["lc-brute", "--grid", "3"],
+    ["lc-brute", "--grid=3", "3"],
+]
+
+
 class TestParsing:
-    def test_unknown_command_exits_2(self):
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) or "(none)" for a in USAGE_ERRORS])
+    def test_usage_error_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
-            main(["frobnicate"])
+            main(argv)
+        out, err = capsys.readouterr()
         assert info.value.code == 2
+        assert out == ""
+        prog = f"gridlc {argv[0]}" if argv and argv[0] in COMMANDS else "gridlc"
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: {prog} [-h]")
+        assert error.startswith(f"{prog}: error: ") and err.count("error:") == 1
 
-    def test_missing_required_flag_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            main(["lc-formula", "--cols", "3"])
-        assert info.value.code == 2
+    def test_attached_value_parses_like_a_separate_one(self, capsys):
+        assert run(capsys, "lc-formula", "--cols=6", "--rows", "4") == run(
+            capsys, "lc-formula", "--cols", "6", "--rows", "4"
+        )
 
-    def test_nonpositive_budget_rejected(self):
-        with pytest.raises(SystemExit) as info:
-            main(["lc-brute", "--path", "5", "--pair-budget", "0"])
-        assert info.value.code == 2
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        assert run(capsys, "lc-formula", "--cols", "3", "--cols", "6", "--rows", "4") == (
+            0, "18 (both_even)\n", ""
+        )
 
-    def test_xcheck_takes_no_budget(self):
-        # xcheck reads lc from the DP alone and walks for no witness.
+    def test_negative_value_reaches_the_handler(self, capsys):
+        # "-1" is a value, not a flag; xcheck itself refuses it.
+        assert run(capsys, "xcheck", "--max-edges", "-1") == (
+            2, "", "error: --max-edges must be non-negative\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_names_every_flag(self, capsys, command, flag):
+        argv = [flag] if command is None else [command, flag]
         with pytest.raises(SystemExit) as info:
-            main(["xcheck", "--max-edges", "12", "--pair-budget", "39"])
-        assert info.value.code == 2
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 0
+        assert err == ""
+        # Each spec is written as the usage line shows it, e.g. "[--output {text,json}]".
+        flags = [spec.strip("[]()| ").split()[0] for spec, *_ in COMMANDS[command][2]] if command else []
+        assert set(flags or COMMANDS) <= set(out.split())
 
 
 # Every command's stdout, byte for byte, with its exit code and the files it

@@ -57,27 +57,32 @@ for name in {absent!r}:
             (
                 ["lc-formula", "--cols", "24", "--rows", "24"],
                 ["gridlc.graph", "gridlc.superline", "gridlc.slicing", "gridlc.fileio",
-                 "dataclasses", "json"],
+                 "dataclasses", "json", "argparse", "gettext", "locale"],
             ),
             (
                 ["lc-brute", "--grid", "3", "3"],
-                ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json"],
+                ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json",
+                 "argparse", "gettext", "locale"],
             ),
             (
                 ["superline", "--index", "2", "--input", "{tmp}/g.edges", "--out", "{tmp}/l2.edges"],
-                ["gridlc.superline", "gridlc.slicing", "dataclasses", "json"],
+                ["gridlc.superline", "gridlc.slicing", "dataclasses", "json",
+                 "argparse", "gettext", "locale"],
             ),
             (
                 ["slice", "--cols", "6", "--rows", "4"],
-                ["gridlc.superline", "gridlc.fileio", "dataclasses"],
+                ["gridlc.superline", "gridlc.fileio", "dataclasses",
+                 "argparse", "gettext", "locale"],
             ),
             (
                 ["verify", "--slicing", "{tmp}/slicing.json"],
-                ["gridlc.superline", "gridlc.fileio", "dataclasses"],
+                ["gridlc.superline", "gridlc.fileio", "dataclasses",
+                 "argparse", "gettext", "locale"],
             ),
             (
                 ["xcheck", "--max-edges", "10"],
-                ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json"],
+                ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json",
+                 "argparse", "gettext", "locale"],
             ),
         ],
         ids=["lc-formula", "lc-brute", "superline", "slice", "verify", "xcheck"],
@@ -99,7 +104,9 @@ for name in {absent!r}:
         out = run_fresh("import sys, gridlc.cli; print(sorted(m for m in sys.modules if m.startswith('gridlc')))")
         assert out == "['gridlc', 'gridlc.cli']\n"
 
-    @pytest.mark.parametrize("module", ["graph", "superline", "slicing", "fileio", "formula", "cli"])
+    @pytest.mark.parametrize(
+        "module", ["graph", "superline", "slicing", "fileio", "formula", "cli", "args"]
+    )
     def test_module_imports_first(self, module):
         out = run_fresh(f"import gridlc.{module}; print('ok')")
         assert out == "ok\n"
