@@ -15,6 +15,9 @@ the grid joins neither side and all four of its edges are removed.
 The removed-set sizes per parity class are fixed: a vertical cut removes
 m, m + 1, or m + 3 edges for {n even; n odd, m even; n odd, m odd}, and a
 horizontal cut removes n, n + 1, or n + 3 for the transposed classes.
+Both cuts split the same edges into two equal sides, so the cut that
+removes fewer edges has the larger sides: :func:`best_slicing` picks its
+axis from these counts and builds that one cut alone.
 
 A :class:`Slicing` is only a claim.  :func:`verify_slicing` is the judge:
 it rechecks everything from scratch, comparing edge endpoints directly
@@ -25,8 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import defaultdict
-from typing import Mapping, NamedTuple
+from collections import defaultdict, namedtuple
 
 from .formula import lc_grid_formula
 from .graph import EdgeSet, Graph, GridSpec, _mask, grid
@@ -39,31 +41,35 @@ class Orientation(enum.Enum):
     ALMOST_HORIZONTAL = "almost-horizontal"
 
 
-_VERTICAL_FAMILY = (Orientation.VERTICAL, Orientation.ALMOST_VERTICAL)
-
-
-class Slicing(NamedTuple):
+class Slicing(namedtuple("Slicing", "spec orientation A B R")):
     """A claimed certificate: sides A and B plus the removed edge set R."""
 
-    spec: GridSpec
-    orientation: Orientation
-    A: EdgeSet
-    B: EdgeSet
-    R: EdgeSet
+    __slots__ = ()
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "checks")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
         return all(check.passed for check in self.checks)
+
+
+def _cut_across(pair: tuple, axis: str) -> tuple:
+    """A (cols, rows) ``pair`` reordered as (cut, across) for a cut along ``axis``.
+
+    ``cut`` is the dimension the cut splits; ``across`` counts its cross lines.
+    """
+    return pair if axis == "vertical" else pair[::-1]
+
+
+def _axis(orientation: Orientation) -> str:
+    """The axis of the cut family: "vertical" or "horizontal"."""
+    return orientation.value.removeprefix("almost-")
 
 
 def _line_side(pos: int, length: int, cross_pos: int, cross_length: int) -> str | None:
@@ -90,29 +96,23 @@ def slice_grid(spec: GridSpec, axis: str) -> Slicing:
     the cross dimension, so 1-wide grids only admit the straight cut of an
     even dimension.
     """
-    n, m = spec.cols, spec.rows
-    if axis == "vertical":
-        if n < 2:
-            raise ValueError("vertical slicing needs at least 2 columns")
-        if n % 2 == 1 and m < 2:
-            raise ValueError("slicing an odd number of columns needs at least 2 rows")
-        orientation = Orientation.VERTICAL if n % 2 == 0 else Orientation.ALMOST_VERTICAL
-    elif axis == "horizontal":
-        if m < 2:
-            raise ValueError("horizontal slicing needs at least 2 rows")
-        if m % 2 == 1 and n < 2:
-            raise ValueError("slicing an odd number of rows needs at least 2 columns")
-        orientation = Orientation.HORIZONTAL if m % 2 == 0 else Orientation.ALMOST_HORIZONTAL
-    else:
+    if axis not in ("vertical", "horizontal"):
         raise ValueError(f"unknown axis {axis!r}; expected 'vertical' or 'horizontal'")
+    cut, across = _cut_across(spec, axis)
+    cut_name, across_name = _cut_across(("columns", "rows"), axis)
+    if cut < 2:
+        raise ValueError(f"{axis} slicing needs at least 2 {cut_name}")
+    if cut % 2 == 1 and across < 2:
+        raise ValueError(f"slicing an odd number of {cut_name} needs at least 2 {across_name}")
+    orientation = Orientation(axis if cut % 2 == 0 else f"almost-{axis}")
 
     # The side table is built only once grid() has passed its edge cap.
     g = grid(spec)
-    cells = itertools.product(range(m), range(n))  # (row, col) in vertex order
-    if axis == "vertical":
-        sides = [_line_side(col, n, row, m) for row, col in cells]
-    else:
-        sides = [_line_side(row, m, col, n) for row, col in cells]
+    vertical = axis == "vertical"
+    sides = [
+        _line_side(col, cut, row, across) if vertical else _line_side(row, cut, col, across)
+        for row, col in itertools.product(range(spec.rows), range(spec.cols))
+    ]
     a_bits, b_bits = (
         _mask(bytes([sides[u] == sides[v] == name for u, v in g.edges])) for name in "AB"
     )
@@ -121,25 +121,21 @@ def slice_grid(spec: GridSpec, axis: str) -> Slicing:
 
 
 def best_slicing(spec: GridSpec) -> Slicing:
-    """The axis whose sides are largest; ties go to the vertical cut.
+    """The cut that removes fewer edges, so has the larger sides; ties go vertical.
 
-    The winning side size always satisfies ``|A| + 1 == lc_grid_formula``.
+    The axis comes from :func:`expected_removed_count` and only that cut is
+    built.  The winning side size always satisfies ``|A| + 1 == lc_grid_formula``.
     """
     if spec.cols < 2 or spec.rows < 2:
         raise ValueError("grid slicings need both dimensions at least 2; 1-wide grids are paths")
-    vertical = slice_grid(spec, "vertical")
-    horizontal = slice_grid(spec, "horizontal")
-    if vertical.A.cardinality >= horizontal.A.cardinality:
-        return vertical
-    return horizontal
+    vertical = expected_removed_count(spec, Orientation.VERTICAL)
+    horizontal = expected_removed_count(spec, Orientation.HORIZONTAL)
+    return slice_grid(spec, "vertical" if vertical <= horizontal else "horizontal")
 
 
 def expected_removed_count(spec: GridSpec, orientation: Orientation) -> int:
     """Removed-set size the parity class dictates for this cut family."""
-    if orientation in _VERTICAL_FAMILY:
-        cut, across = spec.cols, spec.rows
-    else:
-        cut, across = spec.rows, spec.cols
+    cut, across = _cut_across(spec, _axis(orientation))
     if cut % 2 == 0:
         return across
     if across % 2 == 0:
@@ -154,8 +150,8 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
     vertex with a B edge, established from the edge endpoints by mapping
     each vertex to the B edges that touch it; (3) the sides have equal
     size; (4) |R| equals the parity-class count for the claimed cut
-    family; (5) |A| + 1 equals the closed-form lc.  A report that fails only check 5 describes a sound
-    but sub-optimal certificate.
+    family; (5) |A| + 1 equals the closed-form lc.  A report that fails
+    only check 5 describes a sound but sub-optimal certificate.
     """
     expected = grid(slicing.spec)
     if g.vertex_count != expected.vertex_count or g.edges != expected.edges:
@@ -200,7 +196,7 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
 
     expected_removed = expected_removed_count(slicing.spec, slicing.orientation)
     size_r = slicing.R.cardinality
-    family = "vertical" if slicing.orientation in _VERTICAL_FAMILY else "horizontal"
+    family = _axis(slicing.orientation)
     checks.append(
         CheckResult(
             "removed_count",
@@ -232,7 +228,7 @@ def slicing_to_dict(slicing: Slicing) -> dict:
     }
 
 
-def slicing_from_dict(data: Mapping) -> Slicing:
+def slicing_from_dict(data: dict) -> Slicing:
     """Rebuild a slicing claim from its JSON form.
 
     Only well-formedness is enforced here (fields present, known

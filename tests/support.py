@@ -14,9 +14,10 @@ transfer-matrix DP, the reference for grids the scan cannot reach.
 ``frontier_steps_reference`` is the lemma DP's visit order and field
 layout, worked out afresh at every step.  ``indices_reference``,
 ``from_indices_reference`` and ``sets_adjacent_reference`` convert between
-masks and index lists one bit at a time, and ``slice_grid_reference``
+masks and index lists one bit at a time, ``slice_grid_reference``
 applies the cut rule of the ``gridlc.slicing`` docstring to each edge's
-endpoint cells.
+endpoint cells, and ``best_slicing_reference`` builds both of its cuts and
+keeps the one with the larger sides.
 """
 
 from __future__ import annotations
@@ -118,6 +119,17 @@ def slice_grid_reference(cols: int, rows: int, axis: str):
         sides[side_u if side_u == side_v and side_u is not None else "R"].append(index)
     orientation = axis if cut % 2 == 0 else f"almost-{axis}"
     return orientation, tuple(sides["A"]), tuple(sides["B"]), tuple(sides["R"])
+
+
+def best_slicing_reference(cols: int, rows: int):
+    """``slice_grid_reference`` of the cut with the larger sides; ties go vertical.
+
+    Both cuts are built and their sides compared, where ``best_slicing``
+    builds only the cut that its removed-edge counts pick.
+    """
+    vertical = slice_grid_reference(cols, rows, "vertical")
+    horizontal = slice_grid_reference(cols, rows, "horizontal")
+    return vertical if len(vertical[1]) >= len(horizontal[1]) else horizontal
 
 
 def super_line_graph_naive(graph: Graph, r: int):

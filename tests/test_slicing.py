@@ -19,8 +19,11 @@ from gridlc import (
     slicing_to_dict,
     verify_slicing,
 )
+import gridlc.slicing
 from gridlc.slicing import expected_removed_count
 from support import (
+    best_slicing_reference,
+    from_indices_reference,
     indices_reference,
     slice_grid_reference,
     subsets_adjacent_naive,
@@ -135,6 +138,49 @@ class TestBestSlicing:
         assert s.A.cardinality == 3
         assert s.R.cardinality == 6
 
+    def test_horizontal_cut_wins(self):
+        # The horizontal zigzag removes cols + 1 = 5 edges, the vertical cut rows = 7.
+        s = best_slicing(GridSpec(4, 7))
+        assert s.orientation == Orientation.ALMOST_HORIZONTAL
+        assert s.A.cardinality == 20
+
+    @pytest.mark.parametrize("cols,rows", [(6, 4), (4, 7), (5, 5)])
+    def test_builds_one_grid_and_one_side_table(self, cols, rows, monkeypatch):
+        calls = {"grid": 0, "_line_side": 0}
+
+        def counted(name):
+            original = getattr(gridlc.slicing, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(gridlc.slicing, name, wrapper)
+
+        counted("grid")
+        counted("_line_side")
+        best_slicing(GridSpec(cols, rows))
+        assert calls == {"grid": 1, "_line_side": cols * rows}
+
+    @pytest.mark.parametrize("cols", range(2, 41))
+    def test_matches_reference_on_every_grid_to_40(self, cols):
+        for rows in range(2, 41):
+            self._assert_matches_reference(cols, rows)
+
+    def test_matches_reference_on_181x181(self):
+        self._assert_matches_reference(181, 181)
+
+    @staticmethod
+    def _assert_matches_reference(cols, rows):
+        s = best_slicing(GridSpec(cols, rows))
+        orientation, *sides = best_slicing_reference(cols, rows)
+        edge_count = s.A.graph.edge_count
+        assert (s.spec, s.orientation.value, s.A.bits, s.B.bits, s.R.bits) == (
+            GridSpec(cols, rows),
+            orientation,
+            *(from_indices_reference(edge_count, side) for side in sides),
+        ), (cols, rows)
+
     def test_rejects_path_specs(self):
         with pytest.raises(ValueError):
             best_slicing(GridSpec(1, 9))
@@ -219,6 +265,16 @@ class TestVerifySlicing:
         assert not report.all_passed
         by_name = {c.name: c.passed for c in report.checks}
         assert not (by_name["non_adjacency"] and by_name["removed_count"])
+
+    def test_missing_edges_reported(self):
+        spec = GridSpec(6, 4)
+        g = grid(spec)
+        good = slice_grid(spec, "vertical")
+        bad = good._replace(R=EdgeSet(g, good.R.bits & ~(1 << good.R.indices()[0])))
+        check = verify_slicing(g, bad).checks[0]
+        assert (check.name, check.passed, check.detail) == (
+            "partition", False, "1 edges belong to none of A, B, R",
+        )
 
     def test_suboptimal_axis_fails_only_formula_bound(self):
         spec = GridSpec(6, 4)

@@ -789,6 +789,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             WitnessPair(EdgeSet.from_indices(g, [0]), EdgeSet.from_indices(g, [1]), 1)
 
+    def test_witness_pair_constructor_rejects_sets_of_different_graphs(self):
+        first, second = EdgeSet.from_indices(path(5), [0]), EdgeSet.from_indices(path(6), [2])
+        with pytest.raises(ValueError, match="^witness sets belong to different graphs$"):
+            WitnessPair(first, second, 1)
+
     def test_witness_pair_constructor_rejects_wrong_size(self):
         g = path(5)
         with pytest.raises(ValueError):
