@@ -2,14 +2,13 @@
 
 Vertices are the integers ``0 .. vertex_count - 1``.  Edges are ``(u, v)``
 pairs with ``u < v`` and are identified by their position in the edge list;
-the two make up the whole value of a graph.  The subset machinery runs on
-one bitmask per edge marking the edges that share an endpoint with it,
-built on first use.  Graphs are frozen and safe to share between threads;
-threads that first read the masks at the same moment compute the same tuple.
-A super line graph is built from one mask of later neighbours per subset
-vertex, computed from per-edge masks over the subsets; no subset pair is
-tested on its own.  Deciding lc on these graphs is left to
-:mod:`gridlc.superline`.
+the two make up the whole value of a graph, and graphs are frozen.  Whether
+edges touch is decided in two places: :func:`_covers` ORs, for each edge,
+a mask held by the other edges at its endpoints, and :func:`_first_touching`
+compares endpoints for the first touching pair of two index lists.  A super
+line graph is built from one mask of later neighbours per subset vertex,
+computed from per-edge covers over the subsets; no subset pair is tested on
+its own.  Deciding lc on these graphs is left to :mod:`gridlc.superline`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import itertools
 import math
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable
-from functools import cached_property
 
 from . import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP, CapacityError
 
@@ -26,33 +24,56 @@ from . import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP, CapacityError
 _GRID_EDGE_CAP = 2**16
 
 
-def _adjacency_masks(edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def _covers(edges: tuple[tuple[int, int], ...], holders: list[int]) -> tuple[int, ...]:
+    """``covers[e]`` ORs ``holders[f]`` over the edges ``f != e`` that touch edge ``e``,
+    from one prefix and one suffix OR over each vertex's edges."""
     # Keyed by the endpoints that occur, so memory follows the edge count
     # however large the declared vertex count is.
-    incident: defaultdict[int, int] = defaultdict(int)
-    for index, (u, v) in enumerate(edges):
-        bit = 1 << index
-        incident[u] |= bit
-        incident[v] |= bit
-    return tuple(
-        (incident[u] | incident[v]) & ~(1 << index)
-        for index, (u, v) in enumerate(edges)
-    )
+    incident: defaultdict[int, list[int]] = defaultdict(list)
+    for e, (u, v) in enumerate(edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    covers = [0] * len(edges)
+    for at in incident.values():
+        before = after = 0
+        for e, f in zip(at, reversed(at)):
+            covers[e] |= before
+            before |= holders[e]
+            covers[f] |= after
+            after |= holders[f]
+    return tuple(covers)
+
+
+def _first_touching(
+    g: Graph, first: Iterable[int], second: Iterable[int]
+) -> tuple[int, int] | None:
+    """The first ``i`` of ``first`` whose edge shares an endpoint with an edge
+    ``j != i`` of ``second``, with the least such ``j``, or ``None``; found by
+    mapping each vertex to the edges of ``second`` that meet it."""
+    second_at: defaultdict[int, list[int]] = defaultdict(list)
+    for j in second:
+        for vertex in g.edges[j]:
+            second_at[vertex].append(j)
+    for i in first:
+        touching = [j for vertex in g.edges[i] for j in second_at.get(vertex, ()) if j != i]
+        if touching:
+            return i, min(touching)
+    return None
 
 
 class Graph(namedtuple("Graph", "vertex_count edges")):
     """A simple undirected graph with an indexed edge list.
 
-    ``edge_adjacency[i]`` is a bitmask over edge indices, built on first use:
-    bit ``j`` is set exactly when ``i != j`` and edges ``i`` and ``j`` share
-    an endpoint.  Equality, hashing and ``repr`` use the two fields alone;
-    the masks are cached in the instance ``__dict__``, which is why this
-    class, unlike the other records, keeps one.
+    ``edge_adjacency[i]`` is a bitmask over edge indices, computed on each
+    read: bit ``j`` is set exactly when ``i != j`` and edges ``i`` and ``j``
+    share an endpoint.  A caller that reads it often binds it once.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def edge_adjacency(self) -> tuple[int, ...]:
-        return _adjacency_masks(self.edges)
+        return _covers(self.edges, [1 << e for e in range(len(self.edges))])
 
     @staticmethod
     def from_edges(
@@ -224,20 +245,8 @@ def _super_line_rows(
     for i, subset in enumerate(labels):
         for e in subset:
             holders[e] |= 1 << i
-    # near[e]: the subsets holding an edge other than e that shares an
-    # endpoint with e, from prefix and suffix ORs over each vertex's edges.
-    incident: defaultdict[int, list[int]] = defaultdict(list)
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    near = [0] * g.edge_count
-    for edges in incident.values():
-        before = after = 0
-        for e, f in zip(edges, reversed(edges)):
-            near[e] |= before
-            before |= holders[e]
-            near[f] |= after
-            after |= holders[f]
+    # near[e]: the subsets holding an edge other than e that touches e.
+    near = _covers(g.edges, holders)
     rows = []
     for i, subset in enumerate(labels):
         row = 0

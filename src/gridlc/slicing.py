@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 from .formula import lc_grid_formula
-from .graph import EdgeSet, Graph, GridSpec, _mask, grid
+from .graph import EdgeSet, Graph, GridSpec, _first_touching, _mask, grid
 
 
 class Orientation(enum.Enum):
@@ -170,20 +170,9 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
         detail = f"A, B, R are disjoint and cover all {g.edge_count} edges"
     checks.append(CheckResult("partition", not overlap and not missing, detail))
 
-    # Reports the first A edge in index order that shares an endpoint with a
-    # B edge other than itself, with the smallest such B edge: the pair an
-    # A x B double loop would stop at, so the frozen detail text holds.
+    # The pair an A x B double loop would stop at, so the frozen detail text holds.
     a_indices, b_indices = slicing.A.indices(), slicing.B.indices()
-    b_at: defaultdict[int, list[int]] = defaultdict(list)
-    for j in b_indices:
-        for vertex in g.edges[j]:
-            b_at[vertex].append(j)
-    offender: tuple[int, int] | None = None
-    for i in a_indices:
-        touching = [j for vertex in g.edges[i] for j in b_at.get(vertex, ()) if j != i]
-        if touching:
-            offender = (i, min(touching))
-            break
+    offender = _first_touching(g, a_indices, b_indices)
     if offender is None:
         detail = f"checked {len(a_indices)} x {len(b_indices)} edge pairs, none share a vertex"
     else:
@@ -232,8 +221,9 @@ def slicing_from_dict(data: dict) -> Slicing:
     """Rebuild a slicing claim from its JSON form.
 
     Only well-formedness is enforced here (fields present, known
-    orientation, each side a list of integer indices in range); whether
-    the claim certifies anything is for :func:`verify_slicing` to decide.
+    orientation, each side a list of distinct integer indices in range);
+    whether the claim certifies anything is for :func:`verify_slicing` to
+    decide.
     """
     try:
         size = [data["spec"][name] for name in ("cols", "rows")]
@@ -249,5 +239,7 @@ def slicing_from_dict(data: dict) -> Slicing:
     for name, side in zip("ABR", sides):
         if not isinstance(side, list) or any(type(index) is not int for index in side):
             raise ValueError(f"malformed slicing document: {name} must be a list of integers")
+        if len(set(side)) < len(side):
+            raise ValueError(f"malformed slicing document: {name} lists an edge index twice")
     g = grid(spec)
     return Slicing(spec, orientation, *(EdgeSet.from_indices(g, side) for side in sides))

@@ -45,20 +45,15 @@ from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 
 from . import DEFAULT_PAIR_BUDGET, CapacityError
-from .graph import EdgeSet, Graph, _selector
+from .graph import EdgeSet, Graph, _first_touching
 
 
 def sets_adjacent(g: Graph, s: EdgeSet, t: EdgeSet) -> bool:
     """True when some edge of ``s`` touches a different edge of ``t``."""
     if s.graph != g or t.graph != g:
         raise ValueError("edge sets must belong to the queried graph")
-    # Union of the adjacency masks of the member edges.  An edge never
-    # appears in its own mask, so a shared edge alone never makes two
-    # subsets adjacent.
-    cover = 0
-    for adjacent in itertools.compress(g.edge_adjacency, _selector(s.bits)):
-        cover |= adjacent
-    return bool(cover & t.bits)
+    # A shared edge alone never makes two subsets adjacent.
+    return _first_touching(g, s.indices(), t.indices()) is not None
 
 
 class WitnessPair(namedtuple("WitnessPair", "S T r")):

@@ -460,6 +460,17 @@ class TestSliceAndVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_verify_duplicate_side_index_exit_2(self, capsys, tmp_path):
+        document = tmp_path / "twice.json"
+        document.write_text(json.dumps(
+            {"spec": {"cols": 2, "rows": 2}, "orientation": "vertical",
+             "A": [0, 0], "B": [1], "R": []}
+        ))
+        code, out, err = run(capsys, "verify", "--slicing", str(document))
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed slicing document: A lists an edge index twice\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [("cols", 3.9), ("rows", 2.0), ("rows", True), ("cols", "3")],

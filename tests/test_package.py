@@ -217,6 +217,12 @@ def test_record_fields_are_read_only(kind):
     assert getattr(record, field) == before
 
 
+@pytest.mark.parametrize("kind", list(_records()))
+def test_records_hold_no_instance_dict(kind):
+    record, _ = _records()[kind]
+    assert not hasattr(record, "__dict__")
+
+
 def test_records_keep_their_repr():
     g = path(3)
     assert repr(GridSpec(3, 2)) == "GridSpec(cols=3, rows=2)"

@@ -344,3 +344,11 @@ class TestSerialization:
                 {"spec": {"cols": 2, "rows": 2}, "orientation": "vertical",
                  "A": [99], "B": [], "R": []}
             )
+
+    def test_duplicate_side_index_rejected(self):
+        # Collapsing [0, 0] to {0} would judge a side the document never claimed.
+        with pytest.raises(ValueError, match="A lists an edge index twice"):
+            slicing_from_dict(
+                {"spec": {"cols": 2, "rows": 2}, "orientation": "vertical",
+                 "A": [0, 0], "B": [1], "R": []}
+            )

@@ -198,9 +198,10 @@ class TestSuperLineGraph:
         assert result.edge_count == 21_355
         assert peak < 16 * 2**20
 
-    def test_output_masks_on_first_access(self):
-        result, _ = super_line_graph(grid(GridSpec(2, 3)), 2)
-        assert "edge_adjacency" not in vars(result)
+    def test_output_masks_on_first_access(self, covered):
+        g = grid(GridSpec(2, 3))
+        result, _ = super_line_graph(g, 2)
+        assert covered == [g.edges]
         assert result == Graph.from_edges(result.vertex_count, result.edges, edge_cap=None)
         for i in range(result.edge_count):
             for j in range(result.edge_count):
@@ -328,36 +329,41 @@ class TestPrunedWalk:
             assert witness.S.indices() == (*range(10), *range(20, 26))
 
     @staticmethod
-    def counted(cols: int, rows: int, r: int) -> tuple[WitnessPair | None, int]:
+    def counting_masks(monkeypatch, g: Graph) -> CountingMasks:
+        """Make every read of ``Graph.edge_adjacency`` return ``g``'s masks, counted."""
+        masks = CountingMasks(g.edge_adjacency)
+        monkeypatch.setattr(Graph, "edge_adjacency", property(lambda graph: masks))
+        return masks
+
+    def counted(self, monkeypatch, cols: int, rows: int, r: int) -> tuple[WitnessPair | None, int]:
         g = grid(GridSpec(cols, rows))
-        masks = g.__dict__["edge_adjacency"] = CountingMasks(g.edge_adjacency)
+        masks = self.counting_masks(monkeypatch, g)
         return find_nonadjacent_pair(g, r), masks.reads
 
-    def test_prune_skips_most_of_a_complete_level(self):
+    def test_prune_skips_most_of_a_complete_level(self, monkeypatch):
         # 4x4 at r = 11 is complete: C(24, 11) = 2,496,144 subsets, which a
         # scan would each build from 11 mask reads.  The walk reads 10,417.
-        witness, reads = self.counted(4, 4, 11)
+        witness, reads = self.counted(monkeypatch, 4, 4, 11)
         assert witness is None
         assert reads <= 20_000
 
-    def test_first_hit_is_reached_in_few_reads(self):
-        # 2x8 at r = 10: the walk reads 244 masks to its first hit, plus
-        # the 10 that WitnessPair's re-check reads.
-        witness, reads = self.counted(2, 8, 10)
+    def test_first_hit_is_reached_in_few_reads(self, monkeypatch):
+        # 2x8 at r = 10: the walk reads 244 masks to its first hit.
+        witness, reads = self.counted(monkeypatch, 2, 8, 10)
         assert witness.S.indices() == (0, 1, 2, 3, 8, 9, 10, 11, 12, 13)
         assert reads <= 1_000
 
     @pytest.mark.parametrize("g", [grid(GridSpec(2, 9)), path(27)], ids=["2x9", "path27"])
-    def test_default_budget_decides_every_level_of_25_and_26_edges(self, g):
+    def test_default_budget_decides_every_level_of_25_and_26_edges(self, g, monkeypatch):
         # No level of these graphs holds more subsets than the default
         # budget (C(26, 13) = 10,400,600), so none may be refused.  path(27)
         # reads the most, at level 13: 1,072,447 masks.
+        masks = self.counting_masks(monkeypatch, g)
         reads = []
         for r in range(1, g.edge_count + 1):
-            masks = g.__dict__["edge_adjacency"] = CountingMasks(g.edge_adjacency)
-            witness = find_nonadjacent_pair(g, r)
-            # WitnessPair's re-check reads r masks of its own.
-            reads.append(masks.reads - (r if witness else 0))
+            masks.reads = 0
+            find_nonadjacent_pair(g, r)
+            reads.append(masks.reads)
         assert max(reads) < DEFAULT_PAIR_BUDGET
 
     def test_walk_depth_is_not_bounded_by_recursion(self):
