@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from . import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP, CapacityError
 
@@ -197,17 +197,21 @@ class GridSpec(namedtuple("GridSpec", "cols rows")):
         return 2 * self.cols * self.rows - self.cols - self.rows
 
 
-def grid(spec: GridSpec) -> Graph:
-    """Grid graph with the vertex ids and edge indices of :class:`GridSpec`."""
+def _grid_edges(spec: GridSpec) -> Iterator[tuple[int, int]]:
+    """The edges of :func:`grid` in index order, one at a time; no other code states that order."""
     if spec.edge_count > _GRID_EDGE_CAP:
         raise CapacityError(
             f"{spec.cols}x{spec.rows} grid has {spec.edge_count} edges, "
             f"beyond the cap of {_GRID_EDGE_CAP}"
         )
-    n, m = spec.cols, spec.rows
-    horizontal = [(i * n + j, i * n + j + 1) for i in range(m) for j in range(n - 1)]
-    vertical = [(v, v + n) for v in range(n * (m - 1))]
-    return Graph(spec.vertex_count, tuple(horizontal + vertical))
+    n, count = spec.cols, spec.vertex_count
+    rows = (zip(range(v, v + n - 1), range(v + 1, v + n)) for v in range(0, count, n))
+    return itertools.chain(*rows, zip(range(count - n), range(n, count)))
+
+
+def grid(spec: GridSpec) -> Graph:
+    """Grid graph with the vertex ids and edge indices of :class:`GridSpec`."""
+    return Graph(spec.vertex_count, tuple(_grid_edges(spec)))
 
 
 def path(k: int) -> Graph:

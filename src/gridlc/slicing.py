@@ -4,13 +4,15 @@ A slicing splits a grid's edges into sides ``A`` and ``B`` plus a removed
 set ``R`` such that no edge of A shares a vertex with an edge of B and
 ``|A| = |B|``.  Sides of size s show the super line graph of index s is not
 complete, hence lc(grid) >= s + 1.  The constructions cut the grid between
-its columns (vertical family) or between its rows (horizontal family).
-When the cut dimension is even the cut is straight and removes one edge
-per cross line.  When it is odd the cut zigzags through the centre line,
-handing the centre cell of each cross line to one side: the first half of
-the cross lines keep it on the A side, the rest on the B side, which costs
-one extra removed edge.  When both dimensions are odd the central cell of
-the grid joins neither side and all four of its edges are removed.
+its columns (vertical family) or between its rows (horizontal family), and a
+:class:`Slicing` stores that axis.  When the cut dimension is even the cut
+is straight and removes one edge per cross line.  When it is odd the cut
+zigzags through the centre line, handing the centre cell of each cross line
+to one side: the first half of the cross lines keep it on the A side, the
+rest on the B side, which costs one extra removed edge.  When both
+dimensions are odd the central cell of the grid joins neither side and all
+four of its edges are removed.  The JSON label adds ``almost-`` to a
+zigzag's axis; :func:`slicing_from_dict` reads each label as its axis.
 
 The removed-set sizes per parity class are fixed: a vertical cut removes
 m, m + 1, or m + 3 edges for {n even; n odd, m even; n odd, m odd}, and a
@@ -20,29 +22,28 @@ removes fewer edges has the larger sides: :func:`best_slicing` picks its
 axis from these counts and builds that one cut alone.
 
 A :class:`Slicing` is only a claim.  :func:`verify_slicing` is the judge:
-it rechecks everything from scratch, comparing edge endpoints directly
-instead of trusting the adjacency masks.
+it rechecks everything from scratch, the graph against the grid numbering
+and edge endpoints directly instead of trusting the adjacency masks.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from collections import namedtuple
 
 from .formula import lc_grid_formula
-from .graph import EdgeSet, Graph, GridSpec, _first_touching, _mask, grid
+from .graph import EdgeSet, Graph, GridSpec, _first_touching, _grid_edges, _mask, grid
 
 
 class Orientation(enum.Enum):
     VERTICAL = "vertical"
-    ALMOST_VERTICAL = "almost-vertical"
     HORIZONTAL = "horizontal"
-    ALMOST_HORIZONTAL = "almost-horizontal"
 
 
 class Slicing(namedtuple("Slicing", "spec orientation A B R")):
-    """A claimed certificate: sides A and B plus the removed edge set R."""
+    """A claimed certificate: the cut axis, sides A and B plus the removed edge set R."""
 
     __slots__ = ()
 
@@ -65,11 +66,6 @@ def _cut_across(pair: tuple, axis: str) -> tuple:
     ``cut`` is the dimension the cut splits; ``across`` counts its cross lines.
     """
     return pair if axis == "vertical" else pair[::-1]
-
-
-def _axis(orientation: Orientation) -> str:
-    """The axis of the cut family: "vertical" or "horizontal"."""
-    return orientation.value.removeprefix("almost-")
 
 
 def _line_side(pos: int, length: int, cross_pos: int, cross_length: int) -> str | None:
@@ -96,15 +92,13 @@ def slice_grid(spec: GridSpec, axis: str) -> Slicing:
     the cross dimension, so 1-wide grids only admit the straight cut of an
     even dimension.
     """
-    if axis not in ("vertical", "horizontal"):
-        raise ValueError(f"unknown axis {axis!r}; expected 'vertical' or 'horizontal'")
+    orientation = Orientation(axis)  # ValueError for an unknown axis
     cut, across = _cut_across(spec, axis)
     cut_name, across_name = _cut_across(("columns", "rows"), axis)
     if cut < 2:
         raise ValueError(f"{axis} slicing needs at least 2 {cut_name}")
     if cut % 2 == 1 and across < 2:
         raise ValueError(f"slicing an odd number of {cut_name} needs at least 2 {across_name}")
-    orientation = Orientation(axis if cut % 2 == 0 else f"almost-{axis}")
 
     # The side table is built only once grid() has passed its edge cap.
     g = grid(spec)
@@ -135,7 +129,7 @@ def best_slicing(spec: GridSpec) -> Slicing:
 
 def expected_removed_count(spec: GridSpec, orientation: Orientation) -> int:
     """Removed-set size the parity class dictates for this cut family."""
-    cut, across = _cut_across(spec, _axis(orientation))
+    cut, across = _cut_across(spec, orientation.value)
     if cut % 2 == 0:
         return across
     if across % 2 == 0:
@@ -153,12 +147,14 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
     family; (5) |A| + 1 equals the closed-form lc.  A report that fails
     only check 5 describes a sound but sub-optimal certificate.
     """
-    expected = grid(slicing.spec)
-    if g.vertex_count != expected.vertex_count or g.edges != expected.edges:
+    sized = (g.vertex_count, g.edge_count) == (slicing.spec.vertex_count, slicing.spec.edge_count)
+    if not sized or not all(map(operator.eq, g.edges, _grid_edges(slicing.spec))):
         raise ValueError("graph does not match grid(slicing.spec)")
+    a_bits, b_bits, r_bits = slicing.A.bits, slicing.B.bits, slicing.R.bits
+    if (a_bits | b_bits | r_bits) >> g.edge_count:
+        raise ValueError("slicing sides hold edge indices outside grid(slicing.spec)")
 
     checks: list[CheckResult] = []
-    a_bits, b_bits, r_bits = slicing.A.bits, slicing.B.bits, slicing.R.bits
 
     overlap = (a_bits & b_bits) | (a_bits & r_bits) | (b_bits & r_bits)
     missing = g.full_edge_mask() & ~(a_bits | b_bits | r_bits)
@@ -185,13 +181,12 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
 
     expected_removed = expected_removed_count(slicing.spec, slicing.orientation)
     size_r = slicing.R.cardinality
-    family = _axis(slicing.orientation)
     checks.append(
         CheckResult(
             "removed_count",
             size_r == expected_removed,
-            f"|R| = {size_r}, expected {expected_removed} for a {family} cut of a "
-            f"{slicing.spec.cols}x{slicing.spec.rows} grid",
+            f"|R| = {size_r}, expected {expected_removed} for a {slicing.orientation.value} cut "
+            f"of a {slicing.spec.cols}x{slicing.spec.rows} grid",
         )
     )
 
@@ -207,10 +202,11 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
 
 
 def slicing_to_dict(slicing: Slicing) -> dict:
-    """JSON-ready form: spec, orientation, and sorted index lists."""
+    """JSON-ready form: spec, orientation (``almost-`` for an odd cut), sorted index lists."""
+    axis = slicing.orientation.value
     return {
         "spec": {"cols": slicing.spec.cols, "rows": slicing.spec.rows},
-        "orientation": slicing.orientation.value,
+        "orientation": f"almost-{axis}" if _cut_across(slicing.spec, axis)[0] % 2 else axis,
         "A": list(slicing.A.indices()),
         "B": list(slicing.B.indices()),
         "R": list(slicing.R.indices()),
@@ -223,13 +219,13 @@ def slicing_from_dict(data: dict) -> Slicing:
     Only well-formedness is enforced here (fields present, known
     orientation, each side a list of distinct integer indices in range);
     whether the claim certifies anything is for :func:`verify_slicing` to
-    decide.
+    decide.  Each of the four orientation labels is read as its axis.
     """
     try:
         size = [data["spec"][name] for name in ("cols", "rows")]
-        orientation = Orientation(data["orientation"])
+        orientation = Orientation(data["orientation"].removeprefix("almost-"))
         sides = [data[name] for name in ("A", "B", "R")]
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed slicing document: {exc!r}") from exc
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
     for name, value in zip(("cols", "rows"), size):

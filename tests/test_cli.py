@@ -374,9 +374,9 @@ class TestSliceAndVerify:
         assert code == 0
         assert "all 5 checks passed" in out
 
-    def test_verify_builds_the_grid_twice(self, capsys, tmp_path, monkeypatch):
-        # Once to read the document and once inside verify_slicing, which
-        # rebuilds the grid as the independent judge.
+    def test_verify_builds_the_grid_once(self, capsys, tmp_path, monkeypatch):
+        # To read the document; verify_slicing then checks that graph against
+        # the grid numbering one edge at a time, without a second grid.
         document = tmp_path / "slicing.json"
         document.write_text(json.dumps(slicing_to_dict(best_slicing(GridSpec(6, 4)))))
         real_grid, built = gridlc.graph.grid, []
@@ -392,7 +392,7 @@ class TestSliceAndVerify:
         code, out, _ = run(capsys, "verify", "--slicing", str(document))
         assert code == 0
         assert "all 5 checks passed" in out
-        assert built == [GridSpec(6, 4)] * 2
+        assert built == [GridSpec(6, 4)]
 
     def test_largest_grid_slices_and_verifies_in_linear_time(self, tmp_path):
         # Each side holds about 32,000 of the 65,160 edges.  Converting masks
@@ -455,6 +455,18 @@ class TestSliceAndVerify:
         data["A"] = side
         document = tmp_path / "mistyped.json"
         document.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--slicing", str(document))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "label", ["diagonal", "almost-diagonal", "almost-almost-vertical", "almost-", 5, None]
+    )
+    def test_verify_unknown_orientation_exit_2(self, capsys, tmp_path, label):
+        code, out, _ = run(capsys, "slice", "--cols", "3", "--rows", "2")
+        document = tmp_path / "label.json"
+        document.write_text(json.dumps(dict(json.loads(out), orientation=label)))
         code, out, err = run(capsys, "verify", "--slicing", str(document))
         assert code == 2
         assert out == ""
@@ -636,7 +648,10 @@ def slicing_documents(draw):
         holder[key] = draw(st.one_of(
             json_values,
             st.integers(-2, 6) | st.just(10**6),
-            st.sampled_from(["vertical", "horizontal", "diagonal"]),
+            st.sampled_from([
+                "vertical", "horizontal", "diagonal",
+                "almost-diagonal", "almost-almost-vertical", "almost-",
+            ]),
             st.lists(st.integers(-3, 45), max_size=25),
         ))
     sides = [data.get("A"), data.get("R")]

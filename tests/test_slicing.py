@@ -5,6 +5,7 @@ import pytest
 
 from gridlc import (
     EdgeSet,
+    Graph,
     GridSpec,
     Orientation,
     Slicing,
@@ -41,7 +42,8 @@ class TestSliceGrid:
 
     def test_both_odd_isolates_centre_cell(self):
         s = slice_grid(GridSpec(7, 5), "vertical")
-        assert s.orientation == Orientation.ALMOST_VERTICAL
+        assert s.orientation == Orientation.VERTICAL
+        assert slicing_to_dict(s)["orientation"] == slice_grid_reference(7, 5, "vertical")[0]
         assert s.A.cardinality == s.B.cardinality == 25
         assert s.R.cardinality == 8  # rows + 3
 
@@ -73,7 +75,8 @@ class TestSliceGrid:
                     continue
                 s = slice_grid(GridSpec(cols, rows), axis)
                 sides = tuple(indices_reference(side.bits) for side in (s.A, s.B, s.R))
-                assert (s.orientation.value, *sides) == expected, (cols, rows)
+                assert (slicing_to_dict(s)["orientation"], *sides) == expected, (cols, rows)
+                assert s.orientation == Orientation(axis), (cols, rows)
 
     def test_horizontal_is_transpose_of_vertical(self):
         v = slice_grid(GridSpec(6, 4), "vertical")
@@ -126,12 +129,15 @@ class TestBestSlicing:
         assert s.A.cardinality == 17
 
     def test_tie_breaks_toward_vertical(self):
-        assert best_slicing(GridSpec(4, 4)).orientation == Orientation.VERTICAL
-        assert best_slicing(GridSpec(3, 3)).orientation == Orientation.ALMOST_VERTICAL
+        for cols, rows in [(4, 4), (3, 3)]:
+            s = best_slicing(GridSpec(cols, rows))
+            assert s.orientation == Orientation.VERTICAL
+            assert slicing_to_dict(s)["orientation"] == best_slicing_reference(cols, rows)[0]
         # opposite-parity tie: both axes reach 13 on a 5x4 grid
         s = best_slicing(GridSpec(5, 4))
         assert s.A.cardinality == 13
-        assert s.orientation == Orientation.ALMOST_VERTICAL
+        assert s.orientation == Orientation.VERTICAL
+        assert slicing_to_dict(s)["orientation"] == best_slicing_reference(5, 4)[0]
 
     def test_three_by_three(self):
         s = best_slicing(GridSpec(3, 3))
@@ -141,7 +147,8 @@ class TestBestSlicing:
     def test_horizontal_cut_wins(self):
         # The horizontal zigzag removes cols + 1 = 5 edges, the vertical cut rows = 7.
         s = best_slicing(GridSpec(4, 7))
-        assert s.orientation == Orientation.ALMOST_HORIZONTAL
+        assert s.orientation == Orientation.HORIZONTAL
+        assert slicing_to_dict(s)["orientation"] == best_slicing_reference(4, 7)[0]
         assert s.A.cardinality == 20
 
     @pytest.mark.parametrize("cols,rows", [(6, 4), (4, 7), (5, 5)])
@@ -173,13 +180,14 @@ class TestBestSlicing:
     @staticmethod
     def _assert_matches_reference(cols, rows):
         s = best_slicing(GridSpec(cols, rows))
-        orientation, *sides = best_slicing_reference(cols, rows)
+        label, *sides = best_slicing_reference(cols, rows)
         edge_count = s.A.graph.edge_count
-        assert (s.spec, s.orientation.value, s.A.bits, s.B.bits, s.R.bits) == (
+        assert (s.spec, slicing_to_dict(s)["orientation"], s.A.bits, s.B.bits, s.R.bits) == (
             GridSpec(cols, rows),
-            orientation,
+            label,
             *(from_indices_reference(edge_count, side) for side in sides),
         ), (cols, rows)
+        assert s.orientation == Orientation(label.removeprefix("almost-")), (cols, rows)
 
     def test_rejects_path_specs(self):
         with pytest.raises(ValueError):
@@ -285,9 +293,28 @@ class TestVerifySlicing:
         assert not by_name["formula_bound"]
 
     def test_graph_spec_mismatch_rejected(self):
-        slicing = slice_grid(GridSpec(6, 4), "vertical")
-        with pytest.raises(ValueError):
-            verify_slicing(grid(GridSpec(3, 3)), slicing)
+        spec = GridSpec(6, 4)
+        slicing, g = slice_grid(spec, "vertical"), grid(spec)
+        reversed_ids = [(spec.vertex_count - 1 - u, spec.vertex_count - 1 - v) for u, v in g.edges]
+        # The 3x3 grid differs in both counts and the fourth graph in its vertex
+        # count; the others match both counts and differ in their edges.
+        for other in (
+            grid(GridSpec(3, 3)),
+            Graph.from_edges(spec.vertex_count, reversed_ids),
+            Graph(spec.vertex_count, g.edges[:-1] + ((0, spec.vertex_count - 1),)),
+            Graph(spec.vertex_count + 1, g.edges),
+            Graph(spec.vertex_count, tuple(list(edge) for edge in g.edges)),
+        ):
+            with pytest.raises(ValueError, match="graph does not match grid"):
+                verify_slicing(other, slicing)
+
+    def test_sides_beyond_the_graph_rejected(self):
+        # Sides held on the 3x3 grid, claimed for the 2x2 one: A, B and R
+        # cover its 4 edges, and A also holds index 10, past its edge list.
+        spec, held_on = GridSpec(2, 2), grid(GridSpec(3, 3))
+        sides = [EdgeSet.from_indices(held_on, side) for side in ([2, 10], [3], [0, 1])]
+        with pytest.raises(ValueError, match="outside grid"):
+            verify_slicing(grid(spec), Slicing(spec, Orientation.VERTICAL, *sides))
 
     @pytest.mark.parametrize("cols", range(2, 13))
     @pytest.mark.parametrize("rows", range(2, 13))
@@ -334,16 +361,29 @@ class TestSerialization:
     def test_malformed_documents_rejected(self):
         with pytest.raises(ValueError):
             slicing_from_dict({"spec": {"cols": 2}})
-        with pytest.raises(ValueError):
-            slicing_from_dict(
-                {"spec": {"cols": 2, "rows": 2}, "orientation": "diagonal",
-                 "A": [], "B": [], "R": []}
-            )
+        for label in ("diagonal", "almost-diagonal", "almost-almost-vertical", "almost-", 5, None):
+            with pytest.raises(ValueError):
+                slicing_from_dict(
+                    {"spec": {"cols": 2, "rows": 2}, "orientation": label,
+                     "A": [], "B": [], "R": []}
+                )
         with pytest.raises(ValueError):
             slicing_from_dict(
                 {"spec": {"cols": 2, "rows": 2}, "orientation": "vertical",
                  "A": [99], "B": [], "R": []}
             )
+
+    def test_each_label_is_read_as_its_axis(self):
+        # The almost- prefix follows from the spec's parity, so a document's
+        # label is read as its axis alone, whatever the spec.
+        for spec in (GridSpec(2, 2), GridSpec(3, 2)):
+            good = slice_grid(spec, "vertical")
+            for label in ("vertical", "almost-vertical", "horizontal", "almost-horizontal"):
+                s = slicing_from_dict(dict(slicing_to_dict(good), orientation=label))
+                assert s == good._replace(orientation=Orientation(label.removeprefix("almost-")))
+
+    def test_orientation_is_the_axis(self):
+        assert [member.value for member in Orientation] == ["vertical", "horizontal"]
 
     def test_duplicate_side_index_rejected(self):
         # Collapsing [0, 0] to {0} would judge a side the document never claimed.
