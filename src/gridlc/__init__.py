@@ -33,11 +33,10 @@ _SOURCES = {
         "write_edge_list",
         "write_label_table",
     ),
-    "formula": ("GridCase", "lc_grid_formula"),
+    "formula": ("lc_grid_formula",),
     "graph": ("EdgeSet", "Graph", "GridSpec", "grid", "path", "super_line_graph"),
     "slicing": (
         "CheckResult",
-        "Orientation",
         "Slicing",
         "VerificationReport",
         "best_slicing",

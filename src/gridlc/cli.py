@@ -37,8 +37,8 @@ def _cmd_lc_formula(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     from .formula import lc_grid_formula
 
     value, case = lc_grid_formula(args.cols, args.rows)
-    payload = {"lc": value, "case": case.value, "cols": args.cols, "rows": args.rows}
-    return EXIT_OK, payload, [f"{value} ({case.value})"]
+    payload = {"lc": value, "case": case, "cols": args.cols, "rows": args.rows}
+    return EXIT_OK, payload, [f"{value} ({case})"]
 
 
 def _load_input_graph(args: SimpleNamespace):
@@ -127,8 +127,8 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[int, object, list[str]]:
     except RecursionError as exc:
         raise ValueError(f"malformed slicing document: {exc}") from None
     slicing = slicing_from_dict(document)
-    # The sides already belong to grid(slicing.spec); verify_slicing
-    # rebuilds that grid itself to judge the claim independently.
+    # The sides already belong to grid(slicing.spec); verify_slicing checks
+    # that graph against the grid numbering instead of building a second one.
     report = verify_slicing(slicing.A.graph, slicing)
     lines = [f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})" for c in report.checks]
     failed = sum(not c.passed for c in report.checks)

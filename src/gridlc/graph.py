@@ -184,6 +184,9 @@ class GridSpec(namedtuple("GridSpec", "cols rows")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, cols: int, rows: int) -> GridSpec:
+        # type() rather than isinstance(): True must not pass as 1
+        if type(cols) is not int or type(rows) is not int:
+            raise ValueError("grid dimensions must be integers")
         if cols < 1 or rows < 1:
             raise ValueError("grid dimensions must both be at least 1")
         return super().__new__(cls, cols, rows)

@@ -5,8 +5,9 @@ set ``R`` such that no edge of A shares a vertex with an edge of B and
 ``|A| = |B|``.  Sides of size s show the super line graph of index s is not
 complete, hence lc(grid) >= s + 1.  The constructions cut the grid between
 its columns (vertical family) or between its rows (horizontal family), and a
-:class:`Slicing` stores that axis.  When the cut dimension is even the cut
-is straight and removes one edge per cross line.  When it is odd the cut
+:class:`Slicing` stores that axis as the string ``"vertical"`` or
+``"horizontal"``.  When the cut dimension is even the cut is straight and
+removes one edge per cross line.  When it is odd the cut
 zigzags through the centre line, handing the centre cell of each cross line
 to one side: the first half of the cross lines keep it on the A side, the
 rest on the B side, which costs one extra removed edge.  When both
@@ -28,7 +29,6 @@ and edge endpoints directly instead of trusting the adjacency masks.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 from collections import namedtuple
@@ -36,10 +36,7 @@ from collections import namedtuple
 from .formula import lc_grid_formula
 from .graph import EdgeSet, Graph, GridSpec, _first_touching, _grid_edges, _mask, grid
 
-
-class Orientation(enum.Enum):
-    VERTICAL = "vertical"
-    HORIZONTAL = "horizontal"
+_AXES = ("vertical", "horizontal")
 
 
 class Slicing(namedtuple("Slicing", "spec orientation A B R")):
@@ -92,7 +89,8 @@ def slice_grid(spec: GridSpec, axis: str) -> Slicing:
     the cross dimension, so 1-wide grids only admit the straight cut of an
     even dimension.
     """
-    orientation = Orientation(axis)  # ValueError for an unknown axis
+    if axis not in _AXES:
+        raise ValueError(f"unknown slicing axis {axis!r}: expected 'vertical' or 'horizontal'")
     cut, across = _cut_across(spec, axis)
     cut_name, across_name = _cut_across(("columns", "rows"), axis)
     if cut < 2:
@@ -111,7 +109,7 @@ def slice_grid(spec: GridSpec, axis: str) -> Slicing:
         _mask(bytes([sides[u] == sides[v] == name for u, v in g.edges])) for name in "AB"
     )
     removed = g.full_edge_mask() & ~(a_bits | b_bits)
-    return Slicing(spec, orientation, EdgeSet(g, a_bits), EdgeSet(g, b_bits), EdgeSet(g, removed))
+    return Slicing(spec, axis, EdgeSet(g, a_bits), EdgeSet(g, b_bits), EdgeSet(g, removed))
 
 
 def best_slicing(spec: GridSpec) -> Slicing:
@@ -122,14 +120,12 @@ def best_slicing(spec: GridSpec) -> Slicing:
     """
     if spec.cols < 2 or spec.rows < 2:
         raise ValueError("grid slicings need both dimensions at least 2; 1-wide grids are paths")
-    vertical = expected_removed_count(spec, Orientation.VERTICAL)
-    horizontal = expected_removed_count(spec, Orientation.HORIZONTAL)
-    return slice_grid(spec, "vertical" if vertical <= horizontal else "horizontal")
+    return slice_grid(spec, min(_AXES, key=lambda axis: expected_removed_count(spec, axis)))
 
 
-def expected_removed_count(spec: GridSpec, orientation: Orientation) -> int:
-    """Removed-set size the parity class dictates for this cut family."""
-    cut, across = _cut_across(spec, orientation.value)
+def expected_removed_count(spec: GridSpec, axis: str) -> int:
+    """Removed-set size the parity class dictates for the cut along ``axis``."""
+    cut, across = _cut_across(spec, axis)
     if cut % 2 == 0:
         return across
     if across % 2 == 0:
@@ -185,7 +181,7 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
         CheckResult(
             "removed_count",
             size_r == expected_removed,
-            f"|R| = {size_r}, expected {expected_removed} for a {slicing.orientation.value} cut "
+            f"|R| = {size_r}, expected {expected_removed} for a {slicing.orientation} cut "
             f"of a {slicing.spec.cols}x{slicing.spec.rows} grid",
         )
     )
@@ -195,7 +191,7 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
         CheckResult(
             "formula_bound",
             size_a + 1 == lc_value,
-            f"|A| + 1 = {size_a + 1} vs closed-form lc = {lc_value} ({case.value})",
+            f"|A| + 1 = {size_a + 1} vs closed-form lc = {lc_value} ({case})",
         )
     )
     return VerificationReport(tuple(checks))
@@ -203,7 +199,7 @@ def verify_slicing(g: Graph, slicing: Slicing) -> VerificationReport:
 
 def slicing_to_dict(slicing: Slicing) -> dict:
     """JSON-ready form: spec, orientation (``almost-`` for an odd cut), sorted index lists."""
-    axis = slicing.orientation.value
+    axis = slicing.orientation
     return {
         "spec": {"cols": slicing.spec.cols, "rows": slicing.spec.rows},
         "orientation": f"almost-{axis}" if _cut_across(slicing.spec, axis)[0] % 2 else axis,
@@ -223,7 +219,10 @@ def slicing_from_dict(data: dict) -> Slicing:
     """
     try:
         size = [data["spec"][name] for name in ("cols", "rows")]
-        orientation = Orientation(data["orientation"].removeprefix("almost-"))
+        label = data["orientation"]
+        axis = label.removeprefix("almost-")
+        if axis not in _AXES:
+            raise ValueError(f"malformed slicing document: unknown orientation {label!r}")
         sides = [data[name] for name in ("A", "B", "R")]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed slicing document: {exc!r}") from exc
@@ -238,4 +237,4 @@ def slicing_from_dict(data: dict) -> Slicing:
         if len(set(side)) < len(side):
             raise ValueError(f"malformed slicing document: {name} lists an edge index twice")
     g = grid(spec)
-    return Slicing(spec, orientation, *(EdgeSet.from_indices(g, side) for side in sides))
+    return Slicing(spec, axis, *(EdgeSet.from_indices(g, side) for side in sides))

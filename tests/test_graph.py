@@ -176,6 +176,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             GridSpec(3, -1)
 
+    @pytest.mark.parametrize("cols,rows", [(2.5, 3), (3, 2.0), (True, 3), (3, False)])
+    def test_rejects_non_integer_dimensions(self, cols, rows):
+        # A float used to pass and fail later inside range(); True passed as 1.
+        with pytest.raises(ValueError, match="must be integers"):
+            GridSpec(cols, rows)
+
 
 class TestEdgeAdjacency:
     def test_path_neighbours(self):

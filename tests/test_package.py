@@ -28,11 +28,11 @@ from gridlc import (
 SRC = Path(gridlc.__file__).resolve().parent.parent
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports gridlc from this checkout."""
+def run_fresh(code: str, *flags: str) -> str:
+    """Run ``code`` in a new interpreter, started with ``flags``, that imports gridlc from this checkout."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -94,6 +94,16 @@ for name in {absent!r}:
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         out = run_fresh(self.FOOTPRINT.format(argv=argv, absent=absent))
         assert out.split("\n")[:-1] == [f"{name} False" for name in absent]
+
+    @pytest.mark.parametrize(
+        "argv", [["lc-formula", "--cols", "6", "--rows", "4"], ["xcheck", "--max-edges", "11"]],
+        ids=["lc-formula", "xcheck"],
+    )
+    def test_command_leaves_enum_unimported(self, argv):
+        # Under -S no site hook preloads enum, so its absence is checked
+        # outright.  slice and verify still load it through json and re.
+        code = f"import sys\nfrom gridlc.cli import main\nprint(main({argv!r}), 'enum' in sys.modules)"
+        assert run_fresh(code, "-S").split("\n")[-2] == "0 False"
 
     def test_import_loads_no_submodule(self):
         out = run_fresh("import sys, gridlc; print(sorted(m for m in sys.modules if m.startswith('gridlc')))")

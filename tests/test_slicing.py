@@ -7,7 +7,6 @@ from gridlc import (
     EdgeSet,
     Graph,
     GridSpec,
-    Orientation,
     Slicing,
     WitnessPair,
     best_slicing,
@@ -35,14 +34,14 @@ from support import (
 class TestSliceGrid:
     def test_even_columns_straight_cut(self):
         s = slice_grid(GridSpec(6, 4), "vertical")
-        assert s.orientation == Orientation.VERTICAL
+        assert s.orientation == "vertical"
         assert s.A.cardinality == s.B.cardinality == 17
         # the four horizontal edges crossing between columns 2 and 3
         assert s.R.indices() == (2, 7, 12, 17)
 
     def test_both_odd_isolates_centre_cell(self):
         s = slice_grid(GridSpec(7, 5), "vertical")
-        assert s.orientation == Orientation.VERTICAL
+        assert s.orientation == "vertical"
         assert slicing_to_dict(s)["orientation"] == slice_grid_reference(7, 5, "vertical")[0]
         assert s.A.cardinality == s.B.cardinality == 25
         assert s.R.cardinality == 8  # rows + 3
@@ -76,7 +75,7 @@ class TestSliceGrid:
                 s = slice_grid(GridSpec(cols, rows), axis)
                 sides = tuple(indices_reference(side.bits) for side in (s.A, s.B, s.R))
                 assert (slicing_to_dict(s)["orientation"], *sides) == expected, (cols, rows)
-                assert s.orientation == Orientation(axis), (cols, rows)
+                assert s.orientation == axis, (cols, rows)
 
     def test_horizontal_is_transpose_of_vertical(self):
         v = slice_grid(GridSpec(6, 4), "vertical")
@@ -97,7 +96,7 @@ class TestSliceGrid:
             slice_grid(GridSpec(5, 1), "horizontal")
         with pytest.raises(ValueError):
             slice_grid(GridSpec(3, 1), "vertical")  # zigzag needs 2 rows
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown slicing axis 'sideways'"):
             slice_grid(GridSpec(3, 3), "sideways")
 
     @pytest.mark.parametrize("cols", range(2, 13))
@@ -125,18 +124,18 @@ class TestSliceGrid:
 class TestBestSlicing:
     def test_prefers_larger_side(self):
         s = best_slicing(GridSpec(6, 4))
-        assert s.orientation == Orientation.VERTICAL
+        assert s.orientation == "vertical"
         assert s.A.cardinality == 17
 
     def test_tie_breaks_toward_vertical(self):
         for cols, rows in [(4, 4), (3, 3)]:
             s = best_slicing(GridSpec(cols, rows))
-            assert s.orientation == Orientation.VERTICAL
+            assert s.orientation == "vertical"
             assert slicing_to_dict(s)["orientation"] == best_slicing_reference(cols, rows)[0]
         # opposite-parity tie: both axes reach 13 on a 5x4 grid
         s = best_slicing(GridSpec(5, 4))
         assert s.A.cardinality == 13
-        assert s.orientation == Orientation.VERTICAL
+        assert s.orientation == "vertical"
         assert slicing_to_dict(s)["orientation"] == best_slicing_reference(5, 4)[0]
 
     def test_three_by_three(self):
@@ -147,7 +146,7 @@ class TestBestSlicing:
     def test_horizontal_cut_wins(self):
         # The horizontal zigzag removes cols + 1 = 5 edges, the vertical cut rows = 7.
         s = best_slicing(GridSpec(4, 7))
-        assert s.orientation == Orientation.HORIZONTAL
+        assert s.orientation == "horizontal"
         assert slicing_to_dict(s)["orientation"] == best_slicing_reference(4, 7)[0]
         assert s.A.cardinality == 20
 
@@ -187,7 +186,7 @@ class TestBestSlicing:
             label,
             *(from_indices_reference(edge_count, side) for side in sides),
         ), (cols, rows)
-        assert s.orientation == Orientation(label.removeprefix("almost-")), (cols, rows)
+        assert s.orientation == label.removeprefix("almost-"), (cols, rows)
 
     def test_rejects_path_specs(self):
         with pytest.raises(ValueError):
@@ -243,7 +242,7 @@ class TestVerifySlicing:
         spec = GridSpec(3, 3)
         g = grid(spec)
         sides = [EdgeSet.from_indices(g, s) for s in ([2], [3, 6], [0, 1, 4, 5, 7, 8, 9, 10, 11])]
-        check = verify_slicing(g, Slicing(spec, Orientation.VERTICAL, *sides)).checks[1]
+        check = verify_slicing(g, Slicing(spec, "vertical", *sides)).checks[1]
         assert touching_pair_naive(g, [2], [3, 6]) == (2, 3)
         assert check.detail == "A edge 2 (3, 4) shares a vertex with B edge 3 (4, 5)"
 
@@ -314,7 +313,7 @@ class TestVerifySlicing:
         spec, held_on = GridSpec(2, 2), grid(GridSpec(3, 3))
         sides = [EdgeSet.from_indices(held_on, side) for side in ([2, 10], [3], [0, 1])]
         with pytest.raises(ValueError, match="outside grid"):
-            verify_slicing(grid(spec), Slicing(spec, Orientation.VERTICAL, *sides))
+            verify_slicing(grid(spec), Slicing(spec, "vertical", *sides))
 
     @pytest.mark.parametrize("cols", range(2, 13))
     @pytest.mark.parametrize("rows", range(2, 13))
@@ -362,7 +361,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             slicing_from_dict({"spec": {"cols": 2}})
         for label in ("diagonal", "almost-diagonal", "almost-almost-vertical", "almost-", 5, None):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="malformed slicing document"):
                 slicing_from_dict(
                     {"spec": {"cols": 2, "rows": 2}, "orientation": label,
                      "A": [], "B": [], "R": []}
@@ -380,10 +379,23 @@ class TestSerialization:
             good = slice_grid(spec, "vertical")
             for label in ("vertical", "almost-vertical", "horizontal", "almost-horizontal"):
                 s = slicing_from_dict(dict(slicing_to_dict(good), orientation=label))
-                assert s == good._replace(orientation=Orientation(label.removeprefix("almost-")))
+                assert s == good._replace(orientation=label.removeprefix("almost-"))
 
     def test_orientation_is_the_axis(self):
-        assert [member.value for member in Orientation] == ["vertical", "horizontal"]
+        # The plain string, so readers compare and print it without unwrapping.
+        for cols, rows, best in [(6, 4, "vertical"), (3, 3, "vertical"),
+                                 (3, 4, "horizontal"), (4, 7, "horizontal")]:
+            spec = GridSpec(cols, rows)
+            made = [slice_grid(spec, "vertical"), slice_grid(spec, "horizontal"), best_slicing(spec)]
+            assert [s.orientation for s in made] == ["vertical", "horizontal", best]
+            assert [type(s.orientation) for s in made] == [str, str, str]
+
+    def test_unknown_label_is_named(self):
+        document = {"spec": {"cols": 2, "rows": 2}, "orientation": "almost-diagonal",
+                    "A": [], "B": [], "R": []}
+        with pytest.raises(ValueError) as info:
+            slicing_from_dict(document)
+        assert str(info.value) == "malformed slicing document: unknown orientation 'almost-diagonal'"
 
     def test_duplicate_side_index_rejected(self):
         # Collapsing [0, 0] to {0} would judge a side the document never claimed.
