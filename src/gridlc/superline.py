@@ -13,7 +13,8 @@ still be non-adjacent.  Every search here is a pure function of immutable
 inputs.
 
 ``lc_bruteforce`` takes lc from the following lemma and scans only level
-lc - 1, for the lexicographically first witness pair.
+lc - 1, for the lexicographically first witness pair.  A relaxation of the
+lemma, confirmed by that scan, decides most graphs with fewer DP states.
 
 Lemma.  Let G have two vertex-disjoint edges.  Then lc(G) - 1 is the
 maximum, over disjoint vertex sets X and Y that each induce at least one
@@ -32,6 +33,22 @@ edges of E[X] plus k matching edges and j edges of E[Y] plus the same k
 matching edges are a non-adjacent pair of (j + k)-subsets.  So every
 level up to the maximum has a witness, which also proves that
 completeness is monotone in ``r``.
+
+Relaxation.  Let R be the set of vertices that have an edge and lie in
+neither X nor Y.  A matching of G - X - Y pairs off vertices of R, so
+nu(G - X - Y) <= floor(|R| / 2).  Let U be 1 plus the maximum, over
+disjoint X and Y with E[X] or E[Y] nonempty, of min(|E[X]|, |E[Y]|) +
+floor(|R| / 2).  Then U >= lc: with two disjoint edges the maximum ranges
+over the lemma's splits and more, and bounds each of their terms; with
+edges but no two disjoint ones lc = 1 and X one edge scores at least 0;
+with no edge U = lc = 0.  Unlike the lemma's, U's terms do not ask which
+rest vertices are matched.
+
+Confirmation.  If level U - 1 has a witness pair, it is incomplete, so by
+monotonicity every level below U is, and lc >= U; with U >= lc, lc = U.
+The walk that finds that pair is the one that would run at level lc - 1,
+so the witness is the same.  A bound that the walk cannot confirm, as on
+the star K_1,3 (U = 2, lc = 1), says nothing, and the exact DP decides.
 
 The witness walk is budgeted in the adjacency masks it reads, one per
 prefix it tries.  A walk that passes the budget raises, so a level is
@@ -154,9 +171,15 @@ def find_nonadjacent_pair(
 #: bytes at the peaks of 4x4 to 7x7, 6x20 and K_10, the most on K_10.  The
 #: 7x7 grid, the 6x20 grid and K_10 (at 0.86 of the budget) are decided; the
 #: 181x181 grid and K_12 pass the budget within their first 11 vertices,
-#: under 100 MB of RSS each.
+#: under 100 MB of RSS each.  The relaxed DP's entries have the same parts
+#: and its bitsets the bound ``_lemma_lc`` gives; it decides 8x8 and 7x16,
+#: and passes the budget at vertex 37 of 9x9.
 _BYTE_BUDGET = 2**26
 _ENTRY_BYTES = 205
+
+#: Masks the walk that confirms the relaxed DP's bound may read before
+#: ``lc_bruteforce`` falls back to the exact DP.
+_CONFIRM_READS = 2**16
 
 
 # Frontier labels of the lemma DP, two bits per frontier vertex.
@@ -227,7 +250,7 @@ def _frontier_steps(g: Graph) -> Iterator[tuple]:
         yield v, reads, keep, sigmask, place, ones
 
 
-def _lemma_lc(g: Graph) -> tuple[int, int]:
+def _lemma_lc(g: Graph, relaxed: bool = False) -> tuple[int, int]:
     """lc(g) by a frontier DP over the lemma, and the DP's peak entry count.
 
     The vertices that have edges are visited one at a time.  The frontier
@@ -322,44 +345,80 @@ def _lemma_lc(g: Graph) -> tuple[int, int]:
     key has a signature of its own, and the same code works out its moves
     unstored.
 
+    With ``relaxed`` the same loop gives U, the bound of the module
+    docstring, and its peak.  No rest vertex is matched, so a rest vertex is
+    DONE from its visit: a field holds X, Y or DONE, three values, and the
+    move table is kept while 3 ** (fields read) <= (keys).  A
+    labelling's point is (a, b) = (2|E[X]| + |R|, 2|E[Y]| + |R|), which
+    scores min(a, b) // 2 = min(|E[X]|, |E[Y]|) + floor(|R| / 2).  W is
+    E + 1 rounded up to even.  Both a and b have the parity of |R|, and
+    b <= 2 (|E[Y]| + floor(|R| / 2)) + 1 <= 2E + 1 < 2W, since the edges at
+    R number at least ceil(|R| / 2) and none is in E[Y].  So row a reaches
+    into row a + 1, but bit a * W + b has b's parity, which is a's, and the
+    points of two adjacent rows never share a bit: each bit is one point.
+    An X move shifts by 2 nx W, a Y move by 2 ny, a rest move by W + 1, and
+    there is no match move.  The rest move adds 1 to both coordinates, as a
+    match does, so it commutes with the transpose; unflagged points have
+    a = b = |R|, so p0 stays diagonal, and the mirror argument above holds
+    as it stands.  Row a of the final flagged set is read at a's parity,
+    below 2W, and U = 1 + max min(a, b) // 2.  A point's bit is below
+    (a + 2) * W, with a <= 2 * (decided edges) + (visited vertices) and
+    a <= 2E + 1, and that is the bitset bound the byte charge takes.
+
     Each entry of a step is charged as ``_BYTE_BUDGET`` says, checked
     after each key's moves; past the budget the DP raises
     :class:`CapacityError`.  The peak is the most entries a step holds.
     """
-    points, peak = _lemma_points(g)
+    points, width, peak = _lemma_points(g, relaxed)
     # Any edge can be X, so the final flagged set is nonempty, and with no
     # edge it is empty: the best below is then -1 and lc = 0.  Row a of the
-    # bitset holds the b of its points; the best is min(a, largest b).
-    width = g.edge_count + 1
-    row = (1 << width) - 1
-    best = max(min(a, (points >> a * width & row).bit_length() - 1) for a in range(width))
-    return best + 1, peak
+    # bitset holds the b of its points: those below W, or relaxed, those of
+    # a's parity below 2W.  The best is min(a, largest b), halved relaxed.
+    if relaxed:
+        even = (4**width - 1) // 3
+        masks = even, even << 1
+    else:
+        masks = ((1 << width) - 1,) * 2
+    best = max(
+        min(a, (points >> a * width & masks[a & 1]).bit_length() - 1)
+        for a in range(points.bit_length() // width + 1)
+    )
+    return (best >> relaxed) + 1, peak
 
 
-def _lemma_points(g: Graph) -> tuple[int, int]:
-    """The final flagged bitset of the DP that ``_lemma_lc`` describes, and its peak."""
+def _lemma_points(g: Graph, relaxed: bool = False) -> tuple[int, int, int]:
+    """The final flagged bitset of the DP that ``_lemma_lc`` describes, its W, and its peak."""
     width = g.edge_count + 1
+    # A closed X or Y edge adds ``edge`` to a point's a or b.  A rest vertex
+    # shifts a set by ``rest``: W + 1, one more on both, or 0 when the exact
+    # DP leaves it to a match.  Relaxed, it is never matched, so it is DONE.
+    if relaxed:
+        width += width & 1
+        edge, rest, rest_label, kinds = 2, width + 1, _DONE, 3
+    else:
+        edge, rest, rest_label, kinds = 1, 0, _REST, 4
     decided = 0
     # min(labels, mirror) -> (unflagged points, flagged points, flagged transposed)
     states = {0: (1, 0, 0)}
     peak = 0
     for step, (_, reads, keep, sigmask, place, ones) in enumerate(_frontier_steps(g), 1):
-        # A point's a and b count closed edges, so its bit is below
-        # (decided + 1) * W: the entries this step may hold within the budget.
+        # The rows a point's bit may reach: a counts closed edges, or twice
+        # those plus visited vertices (at most 2E + 1) with b below 2W.
         decided += len(reads)
-        most = _BYTE_BUDGET // (_ENTRY_BYTES + 3 * ((decided + 1) * width // 30 * 4))
+        rows = min(2 * decided + step, 2 * g.edge_count + 1) + 2 if relaxed else decided + 1
+        most = _BYTE_BUDGET // (_ENTRY_BYTES + 3 * (rows * width // 30 * 4))
         new: dict[int, tuple[int, int, int]] = {}
-        put_x, put_y, put_rest = _X * place, _Y * place, _REST * place
+        put_x, put_y, put_rest = _X * place, _Y * place, rest_label * place
         # Read signature -> (moves that keep the flag, moves that set it),
         # each a (delta, mirrored delta, shift, transposed shift) list; kept
         # only while it cannot outgrow states.
         table: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
-        store = 4 ** len(reads) <= len(states)
+        store = kinds ** len(reads) <= len(states)
         for labels, (p0, p1, q1) in states.items():
             sig = labels & sigmask
             moves = table.get(sig)
             if moves is None:
-                moves = plain, flagging = [(put_rest, put_rest, 0, 0)], []
+                moves = plain, flagging = [(put_rest, put_rest, rest, rest)], []
                 nx = ny = 0
                 for shift, unmatch in reads:
                     label = sig >> shift & 3
@@ -369,6 +428,7 @@ def _lemma_points(g: Graph) -> tuple[int, int]:
                         ny += 1
                     elif label == _REST:
                         plain.append((-unmatch, -unmatch, width + 1, width + 1))
+                nx, ny = edge * nx, edge * ny
                 (flagging if nx else plain).append((put_x, put_y, nx * width, nx))
                 (flagging if ny else plain).append((put_y, put_x, ny, ny * width))
                 if store:
@@ -412,21 +472,35 @@ def _lemma_points(g: Graph) -> tuple[int, int]:
                 )
         peak = max(peak, len(new))
         states = new
-    return states[0][1], peak
+    return states[0][1], width, peak
 
 
 def lc_bruteforce(g: Graph, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> LcResult:
     """Least ``r`` whose super line graph is complete, with a witness at ``r - 1``.
 
-    ``r`` comes from the lemma in the module docstring, decided by
-    :func:`_lemma_lc`; a DP that passes its byte budget raises
-    :class:`CapacityError`.  For ``r >= 2`` level ``r - 1`` is then
-    walked, the only level that is, for its lexicographically first
-    witness pair.  A walk that would read more than ``pair_budget``
-    adjacency masks raises :class:`CapacityError` too: no value is reported
-    without its witness.  A walk that finds no witness contradicts the
-    lemma DP, a bug in one of the two, and raises ``AssertionError``.
+    ``r`` comes from the lemma in the module docstring.  The relaxed DP of
+    :func:`_lemma_lc` first gives the bound U >= lc; U <= 1 is lc itself,
+    and otherwise level U - 1 is walked, reading at most
+    ``min(pair_budget, _CONFIRM_READS)`` adjacency masks.  A witness there
+    proves lc = U, and it is the lexicographically first witness pair at
+    level lc - 1.  If the relaxed DP passes its byte budget, or the walk
+    passes its cap or finds no witness, the exact DP decides ``r`` and
+    level ``r - 1`` alone is walked within ``pair_budget``.  A DP or walk
+    that passes its budget there raises :class:`CapacityError`: no value
+    is reported without its witness.  A walk that finds no witness then
+    contradicts the exact DP, a bug in one of the two, and raises
+    ``AssertionError``.
     """
+    try:
+        bound, _ = _lemma_lc(g, relaxed=True)
+        if bound <= 1:
+            return LcResult(bound)
+        reads = min(pair_budget, _CONFIRM_READS)
+        witness = find_nonadjacent_pair(g, bound - 1, pair_budget=reads)
+    except CapacityError:
+        witness = None
+    if witness is not None:
+        return LcResult(bound, witness)
     r, _ = _lemma_lc(g)
     if r <= 1:
         return LcResult(r)

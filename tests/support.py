@@ -11,6 +11,8 @@ the way ``lc_bruteforce`` decided lc before the lemma DP; it is the
 reference the DP is checked against where the scan is fast enough.
 ``lc_grid_transfer`` decides grids from the lemma by its own
 transfer-matrix DP, the reference for grids the scan cannot reach.
+``lemma_bound_naive`` gives the relaxed lemma DP's bound and final
+bitset from every split of the vertices into X, Y and rest.
 ``frontier_steps_reference`` is the lemma DP's visit order and field
 layout, worked out afresh at every step.  ``indices_reference``,
 ``from_indices_reference`` and ``sets_adjacent_reference`` convert between
@@ -254,6 +256,31 @@ def lemma_points_naive(graph: Graph) -> int:
             for size in range(matching_number_naive(within["R"]) + 1):
                 bits |= 1 << (len(within["X"]) + size) * width + len(within["Y"]) + size
     return bits
+
+
+def lemma_bound_naive(graph: Graph) -> tuple[int, int]:
+    """The relaxed lemma DP's bound U and final flagged bitset, from every split.
+
+    Each vertex that has an edge goes to X, Y or the rest R.  U - 1 is the
+    best min(|E[X]|, |E[Y]|) + floor(|R| / 2) over splits whose E[X] or E[Y]
+    is nonempty, and U = 0 with no edge.  Bit a * W + b is set for each such
+    split's point (a, b) = (2|E[X]| + |R|, 2|E[Y]| + |R|), with W the least
+    even number above E.
+    """
+    touched = sorted({v for edge in graph.edges for v in edge})
+    width = graph.edge_count + 2 - graph.edge_count % 2
+    best, bits = -1, 0
+    for labels in product("XYR", repeat=len(touched)):
+        sides = dict(zip(touched, labels))
+        inside = {"X": 0, "Y": 0, "R": 0}
+        for u, v in graph.edges:
+            if sides[u] == sides[v]:
+                inside[sides[u]] += 1
+        if inside["X"] or inside["Y"]:
+            rest = labels.count("R")
+            best = max(best, min(inside["X"], inside["Y"]) + rest // 2)
+            bits |= 1 << (2 * inside["X"] + rest) * width + 2 * inside["Y"] + rest
+    return best + 1, bits
 
 
 def frontier_steps_reference(graph: Graph):

@@ -40,7 +40,8 @@ def run_fresh(code: str, *flags: str) -> str:
 
 class TestImportFootprint:
     # A module counts as loaded by the command only if the interpreter had
-    # not already loaded it at start-up (some site hooks import json).
+    # not already loaded it at start-up (some site hooks import json, re and
+    # enum), so each case also runs under -S, with no site hook.
     FOOTPRINT = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -57,12 +58,12 @@ for name in {absent!r}:
             (
                 ["lc-formula", "--cols", "24", "--rows", "24"],
                 ["gridlc.graph", "gridlc.superline", "gridlc.slicing", "gridlc.fileio",
-                 "dataclasses", "json", "argparse", "gettext", "locale"],
+                 "dataclasses", "json", "argparse", "gettext", "locale", "re", "enum"],
             ),
             (
                 ["lc-brute", "--grid", "3", "3"],
                 ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json",
-                 "argparse", "gettext", "locale"],
+                 "argparse", "gettext", "locale", "re", "enum"],
             ),
             (
                 ["superline", "--index", "2", "--input", "{tmp}/g.edges", "--out", "{tmp}/l2.edges"],
@@ -82,17 +83,18 @@ for name in {absent!r}:
             (
                 ["xcheck", "--max-edges", "10"],
                 ["gridlc.slicing", "gridlc.fileio", "dataclasses", "json",
-                 "argparse", "gettext", "locale"],
+                 "argparse", "gettext", "locale", "re", "enum"],
             ),
         ],
         ids=["lc-formula", "lc-brute", "superline", "slice", "verify", "xcheck"],
     )
-    def test_command_loads_only_what_it_runs(self, argv, absent, tmp_path):
+    @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+    def test_command_loads_only_what_it_runs(self, argv, absent, flags, tmp_path):
         gridlc.write_edge_list(grid(GridSpec(3, 3)), tmp_path / "g.edges")
         document = gridlc.slicing_to_dict(best_slicing(GridSpec(6, 4)))
         (tmp_path / "slicing.json").write_text(json.dumps(document), encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        out = run_fresh(self.FOOTPRINT.format(argv=argv, absent=absent))
+        out = run_fresh(self.FOOTPRINT.format(argv=argv, absent=absent), *flags)
         assert out.split("\n")[:-1] == [f"{name} False" for name in absent]
 
     @pytest.mark.parametrize(

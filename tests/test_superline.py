@@ -34,6 +34,7 @@ from support import (
     lc_lemma_naive,
     lc_naive,
     lc_upward_scan,
+    lemma_bound_naive,
     lemma_points_naive,
     line_graph_naive,
     random_simple_graphs,
@@ -689,6 +690,198 @@ class TestLemmaDP:
         result = lc_bruteforce(g)
         assert result.r == 200
         assert result.witness_at_r_minus_1.S.indices() == tuple(range(199))
+
+
+def star(n: int) -> Graph:
+    return Graph.from_edges(n + 1, [(0, k) for k in range(1, n + 1)])
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+#: A tree on which the relaxed bound (4) is above lc (3): the matching
+#: number of G - X - Y falls short of half the rest.
+LOOSE_TREE = Graph.from_edges(8, [(0, 1), (1, 2), (1, 3), (1, 4), (3, 5), (1, 6), (0, 7)])
+
+
+def decided_graphs() -> list[Graph]:
+    """Graphs whose exact lemma DP the tests run: grids, random graphs, stars,
+    matchings, complete graphs, and the mixed graphs of ``TestLemmaDP``."""
+    shapes = [(w, n) for w in range(1, 5) for n in range(w, 13)]
+    shapes += [(5, n) for n in range(5, 9)] + [(6, 6), (5, 10), (6, 8)]
+    return [
+        *(grid(GridSpec(cols, rows)) for w, n in shapes for cols, rows in {(w, n), (n, w)}),
+        *random_simple_graphs(400, max_edges=12),
+        *(star(n) for n in range(1, 8)),
+        *(Graph.from_edges(2 * n, [(2 * k, 2 * k + 1) for k in range(n)]) for n in range(1, 6)),
+        *(complete(n) for n in range(2, 11)),
+        Graph.from_edges(9, [*itertools.combinations(range(5), 2), (4, 5), (5, 6), (6, 7), (7, 8)]),
+        Graph.from_edges(
+            7, [(0, k) for k in range(1, 7)] + [(k, k + 1) for k in range(1, 6)] + [(1, 6)]
+        ),
+        Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5)]),
+        LOOSE_TREE,
+    ]
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """Each graph ``lc_bruteforce`` hands to the exact lemma DP, in order."""
+    import gridlc.superline as superline
+
+    graphs = []
+    decide = superline._lemma_lc
+
+    def spy(g, relaxed=False):
+        if not relaxed:
+            graphs.append(g)
+        return decide(g, relaxed)
+
+    monkeypatch.setattr(superline, "_lemma_lc", spy)
+    return graphs
+
+
+class TestRelaxedBound:
+    """``lc_bruteforce`` decides lc by the relaxed lemma DP, confirmed by the
+    walk at U - 1, and falls back to the exact DP when the walk cannot."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            random_simple_graphs(250, max_edges=12),
+            [star(n) for n in range(1, 8)],
+            [Graph.from_edges(2 * n, [(2 * k, 2 * k + 1) for k in range(n)]) for n in range(1, 5)],
+            [complete(n) for n in range(2, 8)],
+            [grid(GridSpec(cols, rows)) for cols, rows in [(2, 2), (2, 3), (3, 2), (1, 9)]],
+        ],
+        ids=["random graphs", "stars K_1,n", "perfect matchings", "K_2 to K_7", "small grids"],
+    )
+    def test_equals_naive_splits(self, corpus):
+        # The bound and every point of the final flagged bitset, against
+        # every split of the vertices; the bitset shows a row overlap or a
+        # missed mirror merge that the bound alone would hide.
+        for g in corpus:
+            bound, bits = lemma_bound_naive(g)
+            assert _lemma_lc(g, relaxed=True)[0] == bound, g
+            assert _lemma_points(g, relaxed=True)[0] == bits, g
+
+    def test_bound_is_at_least_lc(self):
+        for g in decided_graphs():
+            assert _lemma_lc(g, relaxed=True)[0] >= _lemma_lc(g)[0], g
+
+    def test_equals_exact_dp_then_walk(self):
+        # The value and the witness are those of the exact DP and the walk
+        # at lc - 1, whichever path lc_bruteforce takes, on every graph
+        # whose walk the tests run under the default budget.
+        walked = [
+            *(grid(GridSpec(cols, rows)) for cols, rows in grids_with_at_most(20)),
+            *(grid(GridSpec(n, n)) for n in (5, 6, 7)),
+            *(g for g in decided_graphs() if g.edge_count <= 16),
+        ]
+        for g in walked:
+            r, _ = _lemma_lc(g)
+            witness = find_nonadjacent_pair(g, r - 1) if r >= 2 else None
+            assert lc_bruteforce(g) == (r, witness), g
+
+    @pytest.mark.parametrize(
+        "g, exact, relaxed",
+        [(star(3), 1, 2), (star(5), 1, 3), (LOOSE_TREE, 3, 4)],
+        ids=["K_1,3", "K_1,5", "tree"],
+    )
+    def test_unconfirmed_bound_falls_back(self, g, exact, relaxed, exact_runs):
+        assert _lemma_lc(g, relaxed=True)[0] == relaxed
+        assert lc_bruteforce(g).r == exact
+        assert exact_runs == [g]
+
+    @pytest.mark.parametrize(
+        "cols, rows", [(3, 3), (2, 6), (3, 4), (3, 5), (2, 8), (4, 4), (20, 1)]
+    )
+    def test_benchmark_graphs_are_confirmed(self, cols, rows, exact_runs):
+        # The oracle benchmark's graphs never reach the exact DP.
+        g = grid(GridSpec(cols, rows))
+        assert lc_bruteforce(g).r == _lemma_lc(g)[0]
+        assert exact_runs == []
+
+    def test_walk_past_the_cap_falls_back(self, exact_runs, monkeypatch):
+        # lc(2x12) = 17 is confirmed at 5,559 reads; a cap one below that
+        # hands the grid to the exact DP, which walks within pair_budget.
+        import gridlc.superline as superline
+
+        g = grid(GridSpec(2, 12))
+        expected = lc_bruteforce(g)
+        assert exact_runs == []
+        monkeypatch.setattr(superline, "_CONFIRM_READS", 5_558)
+        assert lc_bruteforce(g) == expected
+        assert exact_runs == [g]
+
+    def test_walk_budget_error_is_the_exact_paths(self, exact_runs):
+        # 6x5 (lc = 23) is refused on the walk at level 22 both times.
+        g = grid(GridSpec(6, 5))
+        with pytest.raises(CapacityError) as refused:
+            lc_bruteforce(g, pair_budget=1_000)
+        assert str(refused.value) == (
+            "the witness walk at level r = 22 reads more than the budget of 1000 masks"
+        )
+        assert exact_runs == [g]
+
+    @pytest.mark.parametrize(
+        "cols, rows, message",
+        [
+            (9, 9, "at vertex 29 of 81"),
+            (181, 181, "at vertex 11 of 32761"),
+        ],
+        ids=["9x9", "181x181"],
+    )
+    def test_dp_budget_error_is_the_exact_dps(self, cols, rows, message, exact_runs):
+        # The relaxed DP passes the budget first (9x9 at vertex 37), and
+        # the exact DP's refusal is the one reported.
+        g = grid(GridSpec(cols, rows))
+        with pytest.raises(CapacityError) as refused:
+            lc_bruteforce(g)
+        assert str(refused.value) == (
+            f"the lc dynamic program needs more than 67108864 bytes {message}"
+        )
+        assert exact_runs == [g]
+
+    def test_grid_8x8_is_decided(self):
+        # The exact DP passes the budget at vertex 30 of 64; the relaxed DP
+        # peaks at 3,281 entries, and the walk confirms the closed form.
+        g = grid(GridSpec(8, 8))
+        assert _lemma_lc(g, relaxed=True) == (53, 3_281)
+        result = lc_bruteforce(g)
+        assert result.r == lc_grid_formula(8, 8)[0] == 53
+        assert result.witness_at_r_minus_1 == find_nonadjacent_pair(g, 52)
+
+    def test_byte_budget_is_exact(self, monkeypatch):
+        # Vertex 13 of 4x4 holds the relaxed peak of 41 entries with 18
+        # edges decided, so a point's row is below min(2 * 18 + 13, 49) + 2
+        # = 51 rows of W = 26 bits: each entry is charged 205 + 3 * 176 =
+        # 733 bytes, 30,053 in all.  One byte less admits 40 entries.
+        import gridlc.superline as superline
+
+        monkeypatch.setattr(superline, "_BYTE_BUDGET", 30_053)
+        assert _lemma_lc(grid(GridSpec(4, 4)), relaxed=True) == (11, 41)
+        monkeypatch.setattr(superline, "_BYTE_BUDGET", 30_052)
+        with pytest.raises(CapacityError) as refused:
+            _lemma_lc(grid(GridSpec(4, 4)), relaxed=True)
+        assert str(refused.value) == (
+            "the lc dynamic program needs more than 30052 bytes at vertex 13 of 16"
+        )
+
+    @pytest.mark.parametrize(
+        "g, peak",
+        [
+            (grid(GridSpec(4, 4)), 41),
+            (grid(GridSpec(7, 7)), 1_094),
+            (complete(10), 9_842),
+        ],
+        ids=["4x4", "7x7", "K_10"],
+    )
+    def test_peaks(self, g, peak):
+        # Three values a field, stored with the mirror: (3^f + 1) / 2 keys
+        # for a frontier of f fields.
+        assert _lemma_lc(g, relaxed=True) == (_lemma_lc(g)[0], peak)
 
 
 class TestFrontierSteps:
